@@ -171,10 +171,19 @@ func TestBatchedHeapPropertyAfterMixedRuns(t *testing.T) {
 	b := NewBatched()
 	r := rng.New(17)
 	for round := 0; round < 5; round++ {
+		// Draw before the parallel loop: a Rand is not safe for
+		// concurrent use. -1 means "no insert at this index".
+		keys := make([]int64, 300)
+		for i := range keys {
+			keys[i] = -1
+			if r.Bool() {
+				keys[i] = r.Int63() % 500
+			}
+		}
 		runOn(4, func(c *sched.Ctx) {
-			c.For(0, 300, 1, func(cc *sched.Ctx, i int) {
-				if r.Bool() {
-					b.Insert(cc, r.Int63()%500, 0)
+			c.For(0, len(keys), 1, func(cc *sched.Ctx, i int) {
+				if keys[i] >= 0 {
+					b.Insert(cc, keys[i], 0)
 				}
 			})
 		})

@@ -16,7 +16,10 @@ import (
 //   - Lemma 2: an operation that is pending when a batch is not yet
 //     executing waits through at most two batch landings. MaxLandings
 //     is the measured maximum number of landings inside any op's
-//     pending wait; > 2 means the implementation broke the lemma.
+//     pending wait; > 2 means the implementation broke the lemma. The
+//     scheduler counts them in batch sequence numbers, not timestamps:
+//     a clock read taken before the pending-array publish would charge
+//     a descheduled worker landings it was never pending for.
 //   - Theorem 5.4 envelope: each op's batch delay is at most
 //     2·(max batch span + max inter-batch gap). Headroom is the
 //     measured ratio delayMax / 2·(spanMax+gapMax); > 1 means the
@@ -38,13 +41,6 @@ import (
 // and previous) are kept and gauges report the max over both, so a
 // scrape landing just after a rotation never reads an empty window —
 // the same discipline as the tail FlightRecorder.
-
-// conformLands is the capacity of the recent-land-stamp ring backing
-// the Lemma 2 landings count. An op's wait spans at most a few
-// landings when the lemma holds (and the count saturates at the ring
-// size when it is catastrophically broken), so a small fixed ring is
-// enough and keeps the per-batch scan O(64) worst case.
-const conformLands = 64
 
 // confWindow holds one observation window's running maxima. All
 // fields are atomics because scrapers read them while the launch body
@@ -88,10 +84,8 @@ type Conform struct {
 	window int64 // rotation period, ns
 
 	// Writer-only state (the launch body, serialized by Invariant 1).
-	prevLand int64               // land stamp of the previous batch, 0 before the first
-	lands    [conformLands]int64 // ring of recent land stamps (0 = empty slot)
-	landPos  int                 // next ring slot to overwrite
-	curStart int64               // land stamp opening the current window
+	prevLand int64 // land stamp of the previous batch, 0 before the first
+	curStart int64 // land stamp opening the current window
 
 	cur, prev confWindow
 
@@ -114,10 +108,12 @@ func NewConform(window time.Duration) *Conform {
 
 // RecordBatch observes one landed batch: its launch and land stamps
 // (obs.Now nanoseconds), the minimum pending-publish stamp among its
-// ops, and its size. Called by the scheduler's launch body after the
-// batch's ops have landed; allocation-free and wait-free (no locks,
-// no CAS loops — the single writer only ever load/stores).
-func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS int64, size int) {
+// ops, the most batch landings any of its ops was pending through
+// (this one included), and its size. Called by the scheduler's launch
+// body after the batch's ops have landed; allocation-free and
+// wait-free (no locks, no CAS loops — the single writer only ever
+// load/stores).
+func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS, landings int64, size int) {
 	if m == nil || size <= 0 {
 		return
 	}
@@ -136,18 +132,6 @@ func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS int64, size int) {
 	delay := landNS - minPendingNS
 	if delay < 0 {
 		delay = 0
-	}
-
-	// Lemma 2 count: the op that waited longest is the one with the
-	// minimum pending stamp, and the landings inside its wait are this
-	// batch's own landing plus every earlier landing after it became
-	// pending. Batches are serialized, so "earlier" is simply every
-	// ring entry, and "after it became pending" is stamp > minPending.
-	landings := int64(1)
-	for _, ts := range m.lands {
-		if ts > minPendingNS {
-			landings++
-		}
 	}
 
 	// Rotate on window expiry before folding this batch in, so the
@@ -170,8 +154,6 @@ func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS int64, size int) {
 		m.violations.Add(1)
 	}
 
-	m.lands[m.landPos] = landNS
-	m.landPos = (m.landPos + 1) % conformLands
 	m.prevLand = landNS
 }
 

@@ -13,7 +13,7 @@ func TestConformBasic(t *testing.T) {
 
 	// Batch 1: pending at 100, launch 150, land 250. Span 100, no
 	// previous batch so gap 0, delay 150, one landing (its own).
-	m.RecordBatch(150, 250, 100, 3)
+	m.RecordBatch(150, 250, 100, 1, 3)
 	if got := m.SpanMaxNS(); got != 100 {
 		t.Fatalf("span = %d, want 100", got)
 	}
@@ -29,9 +29,10 @@ func TestConformBasic(t *testing.T) {
 
 	// Batch 2: its slowest op went pending at 200 — before batch 1
 	// landed at 250 — launch 300, land 400. Gap = 300-250 = 50; the op
-	// waited through batch 1's landing plus its own: two landings,
-	// exactly Lemma 2's bound. Delay = 400-200 = 200.
-	m.RecordBatch(300, 400, 200, 2)
+	// waited through batch 1's landing plus its own: two landings
+	// (counted by the scheduler), exactly Lemma 2's bound. Delay =
+	// 400-200 = 200.
+	m.RecordBatch(300, 400, 200, 2, 2)
 	if got := m.SpanMaxNS(); got != 100 {
 		t.Fatalf("span = %d, want 100 (unchanged)", got)
 	}
@@ -56,9 +57,9 @@ func TestConformBasic(t *testing.T) {
 		t.Fatalf("headroom = %v, want %v", got, want)
 	}
 
-	// Batch 3: a Lemma 2 violation — the op was pending at 50, before
-	// both earlier landings (250 and 400), so it waited through three.
-	m.RecordBatch(500, 600, 50, 1)
+	// Batch 3: a Lemma 2 violation — the scheduler reports an op that
+	// was pending through both earlier landings and its own: three.
+	m.RecordBatch(500, 600, 50, 3, 1)
 	if got := m.MaxLandings(); got != 3 {
 		t.Fatalf("landings = %d, want 3", got)
 	}
@@ -72,18 +73,18 @@ func TestConformBasic(t *testing.T) {
 // negative, and that empty batches are ignored.
 func TestConformClamps(t *testing.T) {
 	m := NewConform(time.Hour)
-	m.RecordBatch(0, 0, 0, 0) // size 0: ignored entirely
+	m.RecordBatch(0, 0, 0, 1, 0) // size 0: ignored entirely
 	if got := m.Batches(); got != 0 {
 		t.Fatalf("batches = %d, want 0 after empty batch", got)
 	}
-	m.RecordBatch(200, 100, 300, 1) // land < launch, pending > land
+	m.RecordBatch(200, 100, 300, 1, 1) // land < launch, pending > land
 	if got := m.SpanMaxNS(); got != 0 {
 		t.Fatalf("span = %d, want 0 (clamped)", got)
 	}
 	if got := m.DelayMaxNS(); got != 0 {
 		t.Fatalf("delay = %d, want 0 (clamped)", got)
 	}
-	m.RecordBatch(50, 300, 40, 1) // launch < prev land: gap clamps
+	m.RecordBatch(50, 300, 40, 1, 1) // launch < prev land: gap clamps
 	if got := m.GapMaxNS(); got != 0 {
 		t.Fatalf("gap = %d, want 0 (clamped)", got)
 	}
@@ -96,7 +97,7 @@ func TestConformRotation(t *testing.T) {
 	const win = int64(1000)
 	m := NewConform(time.Duration(win))
 
-	m.RecordBatch(100, 300, 50, 1) // span 200 opens the first window
+	m.RecordBatch(100, 300, 50, 1, 1) // span 200 opens the first window
 	if got := m.SpanMaxNS(); got != 200 {
 		t.Fatalf("span = %d, want 200", got)
 	}
@@ -104,14 +105,14 @@ func TestConformRotation(t *testing.T) {
 	// Land past the window boundary: rotation, old max still visible
 	// through prev.
 	land2 := 300 + win
-	m.RecordBatch(land2-10, land2, land2-20, 1) // span 10
+	m.RecordBatch(land2-10, land2, land2-20, 1, 1) // span 10
 	if got := m.SpanMaxNS(); got != 200 {
 		t.Fatalf("span = %d, want 200 (prev window still counts)", got)
 	}
 
 	// Another rotation: the 200ns span ages out entirely.
 	land3 := land2 + win
-	m.RecordBatch(land3-30, land3, land3-40, 1) // span 30
+	m.RecordBatch(land3-30, land3, land3-40, 1, 1) // span 30
 	if got := m.SpanMaxNS(); got != 30 {
 		t.Fatalf("span = %d, want 30 after two rotations", got)
 	}
@@ -121,7 +122,7 @@ func TestConformRotation(t *testing.T) {
 // no-op returning zeros, so call sites need only the dispatch check.
 func TestConformNil(t *testing.T) {
 	var m *Conform
-	m.RecordBatch(1, 2, 0, 1)
+	m.RecordBatch(1, 2, 0, 1, 1)
 	if m.SpanMaxNS() != 0 || m.GapMaxNS() != 0 || m.DelayMaxNS() != 0 ||
 		m.MaxLandings() != 0 || m.Batches() != 0 || m.Violations() != 0 ||
 		m.Headroom() != 0 {
@@ -154,7 +155,7 @@ func TestConformConcurrentScrape(t *testing.T) {
 					t.Error("negative headroom")
 					return
 				}
-				if l := m.MaxLandings(); l < 0 || l > conformLands+1 {
+				if l := m.MaxLandings(); l < 0 || l > 2 {
 					t.Errorf("landings out of range: %d", l)
 					return
 				}
@@ -165,7 +166,7 @@ func TestConformConcurrentScrape(t *testing.T) {
 	base := Now()
 	for i := int64(0); i < 5000; i++ {
 		launch := base + i*1000
-		m.RecordBatch(launch, launch+500, launch-200, 2)
+		m.RecordBatch(launch, launch+500, launch-200, 1+i%2, 2)
 	}
 	close(done)
 	wg.Wait()
@@ -184,7 +185,7 @@ func TestConformRecordAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		i++
 		launch := base + i*100
-		m.RecordBatch(launch, launch+50, launch-10, 1)
+		m.RecordBatch(launch, launch+50, launch-10, 1, 1)
 	}); n != 0 {
 		t.Fatalf("RecordBatch allocates %v times per call, want 0", n)
 	}

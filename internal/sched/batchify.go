@@ -5,6 +5,7 @@ package sched
 // LaunchBatch procedure (Figure 4).
 
 import (
+	"math"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,8 @@ type OpRecord struct {
 	BatchGroup int32
 
 	// worker is the id of the trapped worker, recorded by Batchify so
-	// that LaunchBatch can flip exactly the participants' statuses.
+	// that LaunchBatch can flip exactly the participants' statuses, or
+	// -1 for a rider claimed by the launch-time top-up (Pump.topUp).
 	worker int32
 }
 
@@ -93,23 +95,7 @@ type Batched interface {
 // popping its batch deque, launching a batch if none is active, or
 // stealing from random victims' batch deques — until its status becomes
 // done.
-func (c *Ctx) Batchify(op *OpRecord) { c.batchify(op, nil) }
-
-// linger carries the submission path's launch-delay configuration into
-// batchify: budget is the path's proposed yield budget and backlog
-// reports whether more queued external work remains for sibling pump
-// workers to trap on. Core-program Batchify passes nil (no external
-// backlog; under the default policy that means the paper's immediate
-// launch). How the budget and backlog are *used* is the batch-formation
-// policy's decision — see BatchPolicy and pump.go for why the serving
-// layer wants the delay.
-type linger struct {
-	budget  int
-	backlog func() bool
-}
-
-// batchify is Batchify's engine; lg is nil for core-program calls.
-func (c *Ctx) batchify(op *OpRecord, lg *linger) {
+func (c *Ctx) Batchify(op *OpRecord) {
 	if c.kind != KindCore {
 		panic("sched: Batchify called from a batch task; batched data structures must not access other batched structures")
 	}
@@ -127,24 +113,32 @@ func (c *Ctx) batchify(op *OpRecord, lg *linger) {
 
 	// Ask the policy for this operation's linger budget: how many times
 	// a LaunchHold verdict will be honored before the scheduler forces
-	// a launch. The default policy keeps the submission path's own
-	// budget (0 for core calls — the paper's immediate launch — and
-	// PumpConfig.LingerYields for pump-fed ops).
+	// a launch. While a Pump serves, every core task is a pump loop, so
+	// rt.pump doubles as the "pump-fed operation" bit.
 	pol := rt.policy
-	proposed := 0
-	if lg != nil {
-		proposed = lg.budget
-	}
-	budget := pol.LingerYields(proposed, lg != nil)
+	external := rt.pump != nil
+	budget := pol.LingerYields(external)
 	hadBudget := budget > 0
 
 	// Publish the slot stamp, then the record, then the status. All
 	// three stores are sequentially consistent, so a launcher (or a
 	// policy scan) that observes the record also observes its stamp,
 	// and one that observes status==pending also observes the record.
-	rt.pending[w.id].stamp.Store(now)
-	rt.pending[w.id].rec.Store(op)
+	// For the Lemma 2 gauge the slot also carries the number of batches
+	// landed when the op became pending, read only *after* the publish:
+	// a worker descheduled mid-publish is then never charged landings it
+	// was not pending for. Until that read lands the slot holds MaxInt64,
+	// which a launcher reads as "pending since my own batch".
+	slot := &rt.pending[w.id]
+	slot.stamp.Store(now)
+	if rt.conform != nil {
+		slot.seq.Store(math.MaxInt64)
+	}
+	slot.rec.Store(op)
 	w.status.Store(int32(StatusPending))
+	if rt.conform != nil {
+		slot.seq.Store(rt.liveBatches.Load())
+	}
 	w.m.OpsSubmitted++
 
 	for {
@@ -163,9 +157,8 @@ func (c *Ctx) batchify(op *OpRecord, lg *linger) {
 			if budget > 0 {
 				reason = pol.ShouldLaunch(PolicyView{
 					rt:         rt,
-					lg:         lg,
 					Workers:    len(rt.workers),
-					External:   lg != nil,
+					External:   external,
 					YieldsLeft: budget,
 				})
 				if reason == LaunchHold {
@@ -302,11 +295,20 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 			working = append(working, op)
 		}
 	}
+	// Launch-time top-up: while a Pump serves, fill the batch to P with
+	// riders taken straight from its ingress queue. working[:trapped]
+	// are the trapped workers' records, working[trapped:] the riders.
+	trapped := len(working)
+	p := rt.pump
+	if p != nil {
+		working = p.topUp(working, nw-trapped)
+	}
 	s.working = working
 	if len(working) == 0 {
 		// Possible: the flag was CASed by a worker whose own record was
 		// consumed by the immediately preceding batch between its flag
-		// check and the launch executing. Nothing to do.
+		// check and the launch executing, and no backlog stands to ride
+		// in its place. Nothing to do.
 		rt.batchesActive.Add(-1)
 		rt.batchFlag.Store(0)
 		rt.idle.wake()
@@ -320,8 +322,12 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		launchNS = obs.Now()
 	}
 	if rt.stampPhases {
-		for _, op := range working {
+		for i, op := range working {
 			op.Phases[obs.PhaseLaunch] = launchNS
+			if i >= trapped {
+				// A rider was never pending: its claim is its launch.
+				op.Phases[obs.PhasePending] = launchNS
+			}
 		}
 	}
 
@@ -365,18 +371,20 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 	}
 
 	// Live conformance: feed the envelope monitor before step 4 flips
-	// statuses, while each participant's pending-slot stamp is still
-	// this batch's publish time (a worker cannot republish until it
-	// observes done). The slot stamps are written unconditionally by
-	// batchify, so the monitor needs no phase stamping.
+	// statuses, while each participant's pending slot still describes
+	// this batch's publish (a worker cannot republish until it observes
+	// done). The slot stamps are written unconditionally by Batchify, so
+	// the monitor needs no phase stamping. Riders have no slot: they
+	// became pending at launch, one landing ago.
 	if m := rt.conform; m != nil {
-		minPending := rt.pending[working[0].worker].stamp.Load()
-		for _, op := range working[1:] {
-			if st := rt.pending[op.worker].stamp.Load(); st < minPending {
-				minPending = st
-			}
+		landed := rt.liveBatches.Load() // batches before this one
+		minPending, minSeq := launchNS, landed
+		for _, op := range working[:trapped] {
+			slot := &rt.pending[op.worker]
+			minPending = min(minPending, slot.stamp.Load())
+			minSeq = min(minSeq, slot.seq.Load())
 		}
-		m.RecordBatch(launchNS, landNS, minPending, len(working))
+		m.RecordBatch(launchNS, landNS, minPending, landed+1-minSeq, len(working))
 	}
 
 	// Record metrics before waking participants.
@@ -397,7 +405,15 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 
 	// Step 4: mark participants done (executing -> done). Participants
 	// cannot have changed status themselves, so plain stores suffice.
-	c.For(0, len(working), 8, s.doneBody)
+	// Riders have no status to flip: complete them here, after the
+	// trapped participants are released and while the flag still guards
+	// the scratch. This task runs inside some worker's scheduling loop
+	// and Run joins every worker, so a drain cannot finish with riders
+	// undelivered.
+	c.For(0, trapped, 8, s.doneBody)
+	for _, op := range working[trapped:] {
+		p.complete(op)
+	}
 
 	// Step 5: reset the global batch-status flag, then wake parked
 	// workers: the status stores above and the flag reset precede this

@@ -193,23 +193,25 @@ func TestContainmentTogglesOff(t *testing.T) {
 
 // TestPumpServesThroughBatchPanic is the serving-layer contract at the
 // sched level: Serve survives panicking BOPs, delivers every result
-// (failed ones with Err), and drains cleanly on Close.
+// (failed ones with Err), and drains cleanly on Close. The queue is
+// loaded before Serve starts, so batches top up from a standing backlog
+// and panicking groups contain riders — operations with no trapped
+// worker, whose only route to their *BatchPanicError is OnDone.
 func TestPumpServesThroughBatchPanic(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 505})
 	bad := &keyPanicDS{poison: 99}
 	good := &pumpSumDS{}
 
 	type result struct {
-		op  *OpRecord
-		err error
+		op    *OpRecord
+		err   error
+		rider bool
 	}
 	const n = 400
-	results := make(chan result, n)
+	results := make(chan result, n+1) // OnDone must never block: n preloaded ops plus the late one
 	p := NewPump(rt, PumpConfig{QueueCap: n, OnDone: func(op *OpRecord) {
-		results <- result{op, op.Err}
+		results <- result{op, op.Err, op.worker < 0}
 	}})
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); p.Serve() }()
 
 	for i := 0; i < n; i++ {
 		var op *OpRecord
@@ -228,15 +230,21 @@ func TestPumpServesThroughBatchPanic(t *testing.T) {
 			}
 		}
 	}
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); p.Serve() }()
 
-	var failed, succeeded int
+	var failed, succeeded, failedRiders int
 	for i := 0; i < n; i++ {
 		r := <-results
 		if r.op.DS == Batched(bad) {
-			if r.err == nil {
-				t.Fatal("poisoned op delivered without Err")
+			var bpe *BatchPanicError
+			if !errors.As(r.err, &bpe) {
+				t.Fatalf("poisoned op (rider=%v) delivered with Err %v, want *BatchPanicError", r.rider, r.err)
 			}
 			failed++
+			if r.rider {
+				failedRiders++
+			}
 		} else {
 			if r.err != nil {
 				t.Fatalf("healthy op delivered with Err: %v", r.err)
@@ -253,10 +261,22 @@ func TestPumpServesThroughBatchPanic(t *testing.T) {
 	if rt.BatchPanics() == 0 {
 		t.Fatal("BatchPanics = 0")
 	}
+	if failedRiders == 0 {
+		t.Fatal("no panicking group contained a rider: the top-up did not engage")
+	}
+
+	// The pump keeps serving after the panics, riders included.
+	late := &OpRecord{DS: good, Val: 1}
+	if err := p.Submit(late); err != nil {
+		t.Fatalf("Submit after panics: %v", err)
+	}
+	if r := <-results; r.op != late || r.err != nil || !late.Ok {
+		t.Fatalf("op after panics: got %+v, want a clean completion", r)
+	}
 
 	p.Close()
 	<-serveDone // Serve must return, not re-panic
-	if got := p.Served(); got != n {
-		t.Fatalf("Served = %d, want %d", got, n)
+	if got := p.Served(); got != n+1 {
+		t.Fatalf("Served = %d, want %d", got, n+1)
 	}
 }

@@ -2,7 +2,7 @@ package sched
 
 // This file defines the batch-formation policy seam: the *decision*
 // half of launching a batch, extracted behind an interface so that
-// launch strategies (linger-under-backlog, size-capped, deadline-aware)
+// launch strategies (immediate, size-capped, deadline-aware)
 // can compete without touching the scheduler's mechanism. The split
 // follows the BatchFormation extraction rule — decisions (when to stop
 // waiting and claim the flag, whether to admit an op) are pluggable;
@@ -26,9 +26,10 @@ type LaunchReason uint8
 const (
 	// LaunchHold means keep waiting: yield and re-check.
 	LaunchHold LaunchReason = iota
-	// LaunchImmediate is the paper's default for core-program calls:
-	// no linger budget was granted, so the first idle-flag check
-	// launches.
+	// LaunchImmediate is the paper's rule and the default policy's only
+	// reason: no linger budget was granted, so the first idle-flag check
+	// launches (and, under a serving pump, tops the batch up to P from
+	// the ingress queue instead of waiting for workers to trap).
 	LaunchImmediate
 	// LaunchNoBacklog means the ingress queue drained: nothing is left
 	// for sibling workers to trap on, so waiting buys no coalescing.
@@ -75,11 +76,9 @@ func (r LaunchReason) String() string {
 // runtime at one flag-check iteration of one trapped worker. The
 // accessor methods are lazy — a policy that never calls Trapped pays
 // nothing for it — and all of them are safe to call from the trapped
-// worker's scheduler loop (they read only atomics and the pump's own
-// mutex-guarded queue depth).
+// worker's scheduler loop (they read only atomics).
 type PolicyView struct {
 	rt *Runtime
-	lg *linger
 
 	// Workers is P, the runtime's worker count (the Invariant 2 batch
 	// size cap).
@@ -95,11 +94,11 @@ type PolicyView struct {
 	YieldsLeft int
 }
 
-// Backlog reports whether the submission path has more queued external
-// work that sibling workers could trap on. Always false for
-// core-program calls.
+// Backlog reports whether the serving pump has more queued external
+// work, which sibling workers could trap on and which the launch-time
+// top-up will take as riders. Always false for core-program calls.
 func (v PolicyView) Backlog() bool {
-	return v.lg != nil && v.lg.backlog()
+	return v.rt.pump != nil && v.rt.pump.Depth() > 0
 }
 
 // Trapped counts workers with a published pending record — the size
@@ -142,7 +141,7 @@ func (v PolicyView) OldestPendingNS() int64 {
 	return age
 }
 
-// BatchPolicy decides when a trapped worker stops lingering and
+// BatchPolicy decides whether a trapped worker lingers before it
 // launches a batch, and whether the pump admits new work. Policies
 // must be stateless or internally synchronized: every worker of every
 // runtime sharing the policy value may call these methods
@@ -169,13 +168,11 @@ type BatchPolicy interface {
 	// (LaunchImmediate on the first check, LaunchBudget once a granted
 	// budget ran out).
 	ShouldLaunch(v PolicyView) LaunchReason
-	// LingerYields grants the linger budget for one trapped operation:
-	// proposed is the submission path's configured budget
-	// (PumpConfig.LingerYields for external ops, 0 for core calls) and
-	// the return value is the number of holds the scheduler will honor
-	// before forcing a LaunchBudget launch. Return proposed to keep the
-	// path's configuration; return 0 to launch immediately.
-	LingerYields(proposed int, external bool) int
+	// LingerYields grants the linger budget for one trapped operation
+	// (external reports a pump-fed op): the number of holds the
+	// scheduler will honor before forcing a LaunchBudget launch. Return
+	// 0 to launch immediately.
+	LingerYields(external bool) int
 	// Admit gates pump admission: depth is the ingress-queue depth a
 	// successful Submit would reach and capacity its configured bound.
 	// Returning false rejects the operation with ErrPumpSaturated
@@ -187,34 +184,21 @@ type BatchPolicy interface {
 
 // AlternatingStealPolicy is the default batch-formation policy — the
 // source paper's behavior, named for the scheduler it accompanies:
-// core-program operations launch immediately (no linger), and pump-fed
-// operations linger under backlog for the pump's configured yield
-// budget, launching as soon as the ingress queue drains. It is
-// stateless; the zero value is ready to use.
+// every operation, core-program or pump-fed, launches at the first
+// idle-flag check. It never holds: a serving batch is fattened by the
+// launch-time top-up, which takes standing backlog instead of waiting
+// for it. It is stateless; the zero value is ready to use.
 type AlternatingStealPolicy struct{}
 
 // Name implements BatchPolicy.
 func (AlternatingStealPolicy) Name() string { return "default" }
 
-// ShouldLaunch implements BatchPolicy: hold while external backlog
-// remains (sibling pumps can still fatten the batch), launch the
-// moment it drains.
-func (AlternatingStealPolicy) ShouldLaunch(v PolicyView) LaunchReason {
-	if !v.Backlog() {
-		return LaunchNoBacklog
-	}
-	return LaunchHold
-}
+// ShouldLaunch implements BatchPolicy. The scheduler never consults it
+// (LingerYields grants no budget); it exists for wrappers and embedders.
+func (AlternatingStealPolicy) ShouldLaunch(PolicyView) LaunchReason { return LaunchImmediate }
 
-// LingerYields implements BatchPolicy: keep each path's configured
-// budget (pumps linger, core calls launch immediately — the paper's
-// rule).
-func (AlternatingStealPolicy) LingerYields(proposed int, external bool) int {
-	if external {
-		return proposed
-	}
-	return 0
-}
+// LingerYields implements BatchPolicy: no budget — the paper's rule.
+func (AlternatingStealPolicy) LingerYields(bool) int { return 0 }
 
 // Admit implements BatchPolicy: admission is bounded by queue capacity
 // alone.

@@ -9,8 +9,8 @@
 // Shipped competitors:
 //
 //   - SizeCap launches once k of P workers are trapped (or the backlog
-//     drains): a batch-size floor that stops the default policy's
-//     small racy batches when backlog is thin.
+//     drains): a batch-size floor for fork-join programs, whose default
+//     immediate launch makes small racy batches.
 //   - Deadline launches when the oldest pending operation's age
 //     reaches a latency budget (or the batch is full): a bounded batch
 //     window that trades mean batch size for a hard cap on the
@@ -28,11 +28,12 @@ import (
 	"batcher/internal/sched"
 )
 
-// sizeCapCoreYields is the linger budget SizeCap grants core-program
-// Batchify calls (which propose none). It only needs to cover the
-// window in which sibling workers hit their own data-structure nodes;
-// past it the scheduler's LaunchBudget backstop launches anyway.
-const sizeCapCoreYields = 256
+// sizeCapYields is the linger budget SizeCap grants every operation.
+// It only needs to cover the window in which sibling workers hit their
+// own data-structure nodes (or, when serving, claim their next queued
+// record); past it the scheduler's LaunchBudget backstop launches
+// anyway.
+const sizeCapYields = 256
 
 // SizeCap launches once K of the P workers are trapped, the external
 // backlog drains, or the batch is full. K <= 0 (or K > P) means P: a
@@ -65,15 +66,8 @@ func (p SizeCap) ShouldLaunch(v sched.PolicyView) sched.LaunchReason {
 	return sched.LaunchHold
 }
 
-// LingerYields implements sched.BatchPolicy: external paths keep their
-// configured budget; core calls get a small one so the cap can act on
-// fork-join programs too.
-func (SizeCap) LingerYields(proposed int, external bool) int {
-	if external {
-		return proposed
-	}
-	return sizeCapCoreYields
-}
+// LingerYields implements sched.BatchPolicy.
+func (SizeCap) LingerYields(bool) int { return sizeCapYields }
 
 // Admit implements sched.BatchPolicy.
 func (SizeCap) Admit(depth, capacity int) bool { return true }
@@ -125,13 +119,8 @@ func (p Deadline) ShouldLaunch(v sched.PolicyView) sched.LaunchReason {
 }
 
 // LingerYields implements sched.BatchPolicy: the window needs enough
-// yields to span Budget on every path, so grant at least MaxYields.
-func (p Deadline) LingerYields(proposed int, external bool) int {
-	if y := p.yields(); y > proposed {
-		return y
-	}
-	return proposed
-}
+// yields to span Budget on every path.
+func (p Deadline) LingerYields(bool) int { return p.yields() }
 
 // Admit implements sched.BatchPolicy.
 func (Deadline) Admit(depth, capacity int) bool { return true }

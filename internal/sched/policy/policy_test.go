@@ -83,6 +83,50 @@ func TestBatchifyZeroAllocsPolicy(t *testing.T) {
 	}
 }
 
+// TestDefaultNeverHolds pins the default policy after the launch-time
+// top-up replaced the launch linger: it grants no yield budget on
+// either path and never returns LaunchHold, so a pump serving a standing
+// backlog launches every batch on the first idle-flag check — and the
+// top-up, not a wait, is what fills those batches.
+func TestDefaultNeverHolds(t *testing.T) {
+	def := sched.AlternatingStealPolicy{}
+	for _, external := range []bool{false, true} {
+		if got := def.LingerYields(external); got != 0 {
+			t.Fatalf("default LingerYields(external=%v) = %d, want 0", external, got)
+		}
+	}
+	if got := def.ShouldLaunch(sched.PolicyView{}); got != sched.LaunchImmediate {
+		t.Fatalf("default ShouldLaunch = %v, want %v", got, sched.LaunchImmediate)
+	}
+
+	const ops = 256
+	rt := sched.New(sched.Config{Workers: 4, Seed: 705})
+	p := sched.NewPump(rt, sched.PumpConfig{QueueCap: ops})
+	ds := &sumDS{}
+	recs := make([]sched.OpRecord, ops)
+	for i := range recs {
+		recs[i] = sched.OpRecord{DS: ds, Val: 1}
+		if err := p.Submit(&recs[i]); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	p.Close()
+	p.Serve()
+	if ds.total != ops {
+		t.Fatalf("ds.total = %d, want %d", ds.total, ops)
+	}
+	reasons := rt.LaunchReasons()
+	for r, n := range reasons {
+		if sched.LaunchReason(r) != sched.LaunchImmediate && n != 0 {
+			t.Fatalf("default policy launched %d batches as %v, want only %v (reasons %v)", n, sched.LaunchReason(r), sched.LaunchImmediate, reasons)
+		}
+	}
+	batches, done := rt.LiveBatchStats()
+	if mean := float64(done) / float64(batches); mean < 0.9*4 {
+		t.Fatalf("mean batch %.2f over a preloaded backlog, want >= 3.6", mean)
+	}
+}
+
 // TestDeadlineLaunchesAgedOp is the deadline policy's figure of merit:
 // a single pump-fed operation — no backlog, no sibling traps, so the
 // batch can never fill — must launch once its pending age reaches the
@@ -138,11 +182,10 @@ func TestDeadlineLaunchesAgedOp(t *testing.T) {
 }
 
 // TestSizeCapLaunchesAtThreshold preloads a deep backlog and serves it
-// under SizeCap{K: 2} with an effectively unbounded linger budget: the
-// default policy would hold while backlog remains, so every launch that
-// happens with backlog standing must come from the size cap (k trapped)
-// or the full-batch rule — and with 64 queued ops against 4 pump
-// workers, backlog is standing for most of the drain.
+// under SizeCap{K: 2}: the policy holds while fewer than K workers are
+// trapped and backlog stands, so with 64 queued ops against 4 pump
+// workers some launch must come from the size cap (k trapped) or the
+// full-batch rule rather than from the yield backstop alone.
 func TestSizeCapLaunchesAtThreshold(t *testing.T) {
 	const ops = 64
 	rt := sched.New(sched.Config{
@@ -153,8 +196,7 @@ func TestSizeCapLaunchesAtThreshold(t *testing.T) {
 	var completed atomic.Int64
 	done := make(chan struct{})
 	p := sched.NewPump(rt, sched.PumpConfig{
-		QueueCap:     ops,
-		LingerYields: 1 << 20,
+		QueueCap: ops,
 		OnDone: func(*sched.OpRecord) {
 			// OnDone fires on scheduler workers; count atomically.
 			if completed.Add(1) == ops {

@@ -44,8 +44,8 @@ func (p Shed) ShouldLaunch(v sched.PolicyView) sched.LaunchReason {
 }
 
 // LingerYields implements sched.BatchPolicy by delegation.
-func (p Shed) LingerYields(proposed int, external bool) int {
-	return p.inner().LingerYields(proposed, external)
+func (p Shed) LingerYields(external bool) int {
+	return p.inner().LingerYields(external)
 }
 
 // Admit implements sched.BatchPolicy: the inner policy's verdict ANDed

@@ -18,7 +18,7 @@ func TestShedDelegates(t *testing.T) {
 		if wrapped.Name() != tc.pol.Name() {
 			t.Errorf("Shed{%s}.Name() = %q, want %q", tc.name, wrapped.Name(), tc.pol.Name())
 		}
-		if got, want := wrapped.LingerYields(7, true), tc.pol.LingerYields(7, true); got != want {
+		if got, want := wrapped.LingerYields(true), tc.pol.LingerYields(true); got != want {
 			t.Errorf("Shed{%s}.LingerYields = %d, want %d", tc.name, got, want)
 		}
 	}

@@ -11,10 +11,11 @@ package sched
 // each record. Concurrent network requests are thereby coalesced into
 // batches by exactly the machinery of Section 4 — the pending array,
 // the work-status flags, and the global batch flag — just as concurrent
-// fork-join strands are. Invariants 1 and 2 hold untouched: at most one
-// batch executes at a time, and a batch carries at most P operations,
-// because at most P pump tasks (one per worker) can be trapped in
-// Batchify at once.
+// fork-join strands are. A launching batch then tops itself up to P
+// straight from the queue (topUp): the extra records ride the batch
+// without a trapped worker of their own. Invariant 1 is untouched, and
+// Invariant 2 holds by construction: k <= P workers are trapped and the
+// top-up claims at most P - k.
 //
 // Backpressure falls out of the same structure. The pending array
 // admits at most P in-flight operations; the Pump's bounded queue is
@@ -53,19 +54,6 @@ type PumpConfig struct {
 	// OnDone stalls a scheduler worker); hand off to a channel or queue
 	// with guaranteed capacity instead.
 	OnDone func(*OpRecord)
-	// LingerYields bounds the launch linger: a trapped pump worker
-	// yields up to this many times before launching a batch, but only
-	// while the ingress queue still holds backlog that sibling pumps
-	// could trap on. Lingering under backlog fattens batches (crucial
-	// when GOMAXPROCS is small and pumps rarely overlap by chance)
-	// without costing latency when the queue is empty — an empty queue
-	// skips the linger entirely, preserving the paper's immediate
-	// launch. 0 means the default (4); negative disables lingering.
-	//
-	// The value is a *proposal*: the runtime's batch-formation policy
-	// (sched.BatchPolicy) receives it as LingerYields(proposed, true)
-	// and may keep, shrink, or extend it. The default policy keeps it.
-	LingerYields int
 }
 
 // Pump is the safe external-submission entry point: any goroutine may
@@ -78,10 +66,14 @@ type Pump struct {
 	rt  *Runtime
 	cfg PumpConfig
 
-	mu     sync.Mutex
-	q      []*OpRecord // FIFO: q[head:] are the queued records
-	head   int
-	closed bool
+	mu   sync.Mutex
+	q    []*OpRecord // FIFO: q[head:] are the queued records
+	head int
+	// closed and depth (== len(q)-head) are written under mu and read
+	// without it, so idle pump loops, policy scans and stats readers
+	// never contend with submitters.
+	closed atomic.Bool
+	depth  atomic.Int64
 
 	// served counts completed operations (monotonic; readable live).
 	served atomic.Int64
@@ -92,11 +84,6 @@ type Pump struct {
 func NewPump(rt *Runtime, cfg PumpConfig) *Pump {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 8 * len(rt.workers)
-	}
-	if cfg.LingerYields == 0 {
-		cfg.LingerYields = 4
-	} else if cfg.LingerYields < 0 {
-		cfg.LingerYields = 0
 	}
 	return &Pump{rt: rt, cfg: cfg}
 }
@@ -114,7 +101,7 @@ func (p *Pump) Submit(op *OpRecord) error {
 		panic("sched: Submit with nil OpRecord.DS")
 	}
 	p.mu.Lock()
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		if tr := p.rt.tracer; tr != nil {
 			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 2, 0)
@@ -142,6 +129,7 @@ func (p *Pump) Submit(op *OpRecord) error {
 	}
 	p.q = append(p.q, op)
 	depth = len(p.q) - p.head
+	p.depth.Store(int64(depth))
 	p.mu.Unlock()
 	if tr := p.rt.tracer; tr != nil {
 		tr.Record(tr.ExternalRing(), obs.EvPumpAdmit, int64(depth), 0)
@@ -173,7 +161,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		}
 	}
 	p.mu.Lock()
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		if tr := p.rt.tracer; tr != nil {
 			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 2, 0)
@@ -207,6 +195,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		p.q = append(p.q, op)
 	}
 	depth := len(p.q) - p.head
+	p.depth.Store(int64(depth))
 	p.mu.Unlock()
 	if tr := p.rt.tracer; tr != nil {
 		for i := 0; i < n; i++ {
@@ -233,61 +222,87 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 // does not wait for the drain (wait on Serve for that).
 func (p *Pump) Close() {
 	p.mu.Lock()
-	p.closed = true
+	p.closed.Store(true)
 	p.mu.Unlock()
 	p.rt.idle.wake()
 }
 
 // Depth returns the current ingress-queue depth (submitted operations
-// not yet claimed by a pump task). Readable at any time.
-func (p *Pump) Depth() int {
-	p.mu.Lock()
-	d := len(p.q) - p.head
-	p.mu.Unlock()
-	return d
-}
+// not yet claimed by a pump task or a batch top-up). Readable at any
+// time; it never takes the queue mutex.
+func (p *Pump) Depth() int { return int(p.depth.Load()) }
 
 // Served returns the number of completed operations. Readable at any
 // time.
 func (p *Pump) Served() int64 { return p.served.Load() }
 
+// pop dequeues the head record. The caller holds p.mu and has checked
+// that the queue is nonempty.
+func (p *Pump) pop() *OpRecord {
+	op := p.q[p.head]
+	p.q[p.head] = nil
+	p.head++
+	if p.head == len(p.q) {
+		p.q = p.q[:0]
+		p.head = 0
+	}
+	p.depth.Store(int64(len(p.q) - p.head))
+	return op
+}
+
 // poll claims the next queued record, or reports drained=true when the
 // pump is closed and the queue is empty (the pump task should return).
+// An empty queue is answered from the atomics alone. closed is read
+// first: Close follows every accepted Submit in mutex order, so a true
+// closed makes the depth read after it final.
 func (p *Pump) poll() (op *OpRecord, drained bool) {
+	closed := p.closed.Load()
+	if p.depth.Load() == 0 {
+		return nil, closed
+	}
 	p.mu.Lock()
 	if p.head < len(p.q) {
-		op = p.q[p.head]
-		p.q[p.head] = nil
-		p.head++
-		if p.head == len(p.q) {
-			p.q = p.q[:0]
-			p.head = 0
-		}
-		p.mu.Unlock()
-		return op, false
+		op = p.pop()
 	}
-	drained = p.closed
 	p.mu.Unlock()
-	return nil, drained
+	return op, false
+}
+
+// topUp is the launch-time top-up: called by LaunchBatch (which holds
+// the batch flag) after compaction, it claims up to n queued records
+// under one mutex acquisition and appends them to the working set as
+// riders — operations with no trapped worker (worker < 0) and no
+// pending-array slot, executed and stamped with the rest of the batch
+// and completed by LaunchBatch itself (complete) instead of a status
+// flip.
+func (p *Pump) topUp(working []*OpRecord, n int) []*OpRecord {
+	if n <= 0 || p.depth.Load() == 0 {
+		return working
+	}
+	p.mu.Lock()
+	for ; n > 0 && p.head < len(p.q); n-- {
+		op := p.pop()
+		op.worker = -1
+		op.Err = nil // the scheduler owns Err until the operation completes
+		working = append(working, op)
+	}
+	p.mu.Unlock()
+	return working
+}
+
+// complete finishes one pump-fed operation: count it, then hand it to
+// OnDone. Trapped operations complete on their pump worker once
+// Batchify returns, riders on the worker that ran their batch.
+func (p *Pump) complete(op *OpRecord) {
+	p.served.Add(1)
+	if p.cfg.OnDone != nil {
+		p.cfg.OnDone(op)
+	}
 }
 
 // ready reports whether a pump task has a reason to run: a queued
 // record or a close to acknowledge. It is the park re-check condition.
-func (p *Pump) ready() bool {
-	p.mu.Lock()
-	r := p.closed || p.head < len(p.q)
-	p.mu.Unlock()
-	return r
-}
-
-// hasBacklog reports whether undelivered external work remains queued;
-// it is the launch-linger condition (see PumpConfig.LingerYields).
-func (p *Pump) hasBacklog() bool {
-	p.mu.Lock()
-	r := p.head < len(p.q)
-	p.mu.Unlock()
-	return r
-}
+func (p *Pump) ready() bool { return p.closed.Load() || p.depth.Load() > 0 }
 
 // Serve runs the pump on the runtime until Close has been called and
 // every accepted operation has completed. It wraps a single Runtime.Run
@@ -307,6 +322,10 @@ func (p *Pump) Serve() {
 	rt := p.rt
 	rt.ContainBatchPanics(true)
 	defer rt.ContainBatchPanics(false)
+	// Quiescent writes, like SetTracer's: Run starts the workers after
+	// the first and joins them before the second.
+	rt.pump = p
+	defer func() { rt.pump = nil }()
 	rt.Run(func(c *Ctx) {
 		n := len(rt.workers)
 		if n == 1 {
@@ -328,18 +347,13 @@ func (p *Pump) Serve() {
 func (p *Pump) pumpLoop(c *Ctx) {
 	w := c.w
 	rt := w.rt
-	lg := linger{backlog: p.hasBacklog}
 	for {
 		rt.checkAbort()
 		op, drained := p.poll()
 		if op != nil {
 			w.idleFails = 0
-			lg.budget = p.cfg.LingerYields
-			c.batchify(op, &lg)
-			p.served.Add(1)
-			if p.cfg.OnDone != nil {
-				p.cfg.OnDone(op)
-			}
+			c.Batchify(op)
+			p.complete(op)
 			continue
 		}
 		if drained {

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"batcher/internal/obs"
 )
 
 // pumpSumDS is a trivial batched accumulator for pump tests: each op
@@ -268,6 +271,104 @@ func TestPumpBatchesUnderLoad(t *testing.T) {
 		t.Fatalf("batch of %d ops exceeds P=%d (Invariant 2)", ds.maxBatch, rt.Workers())
 	}
 	t.Logf("batches=%d ops=%d mean=%.2f max=%d", batches, ops, mean, ds.maxBatch)
+}
+
+// TestPumpRidersStamped checks what the top-up owes a rider's record:
+// the same launch/land stamps and batch bookkeeping as a trapped op, a
+// pending phase of exactly zero (its claim is its launch, so the five
+// phases still sum to the server-side latency), and a clean Lemma 2
+// gauge — a rider has no pending slot for the monitor to read.
+func TestPumpRidersStamped(t *testing.T) {
+	rt := New(Config{Workers: 4, Seed: 17})
+	rt.SetPhaseStamps(true)
+	m := obs.NewConform(time.Hour)
+	rt.SetConformance(m)
+	ds := &pumpSumDS{}
+	const n = 400
+	var riders, trapped atomic.Int64
+	p := NewPump(rt, PumpConfig{QueueCap: n, OnDone: func(op *OpRecord) {
+		ph := &op.Phases
+		admit, pend, launch, land := ph[obs.PhaseAdmit], ph[obs.PhasePending], ph[obs.PhaseLaunch], ph[obs.PhaseLand]
+		if admit <= 0 || admit > pend || pend > launch || launch > land {
+			t.Errorf("stamps out of order: admit=%d pending=%d launch=%d land=%d", admit, pend, launch, land)
+		}
+		if op.BatchSize < 1 || int(op.BatchSize) > rt.Workers() || op.BatchGroup != 0 {
+			t.Errorf("batch bookkeeping: size=%d group=%d", op.BatchSize, op.BatchGroup)
+		}
+		if op.worker >= 0 {
+			trapped.Add(1)
+			return
+		}
+		riders.Add(1)
+		if pend != launch {
+			t.Errorf("rider pending=%d launch=%d, want equal", pend, launch)
+		}
+	}})
+	for i := 0; i < n; i++ {
+		if err := p.Submit(&OpRecord{DS: ds, Val: 1}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	p.Close()
+	p.Serve()
+	if riders.Load() == 0 || riders.Load()+trapped.Load() != n {
+		t.Fatalf("riders=%d trapped=%d, want some riders and %d ops in all", riders.Load(), trapped.Load(), n)
+	}
+	if got := m.Batches(); got == 0 || m.MaxLandings() > 2 || m.Violations() != 0 {
+		t.Fatalf("conformance: batches=%d max landings=%d violations=%d", got, m.MaxLandings(), m.Violations())
+	}
+}
+
+// TestPumpTopUpZeroAllocs pins the serving path — SubmitAll, poll, the
+// launch-time top-up, rider completion — at zero allocations with the
+// full observability configuration attached: tracer, batch-size
+// histogram, phase stamps and the conformance monitor.
+func TestPumpTopUpZeroAllocs(t *testing.T) {
+	skipIfRace(t)
+	rt := New(Config{Workers: 4, Seed: 19})
+	rt.SetTracer(rt.NewTracer(1024))
+	rt.SetBatchSizeHistogram(obs.NewHistogram())
+	rt.SetPhaseStamps(true)
+	rt.SetConformance(obs.NewConform(time.Hour))
+	var done, riders atomic.Int64
+	const burst = 64
+	p := NewPump(rt, PumpConfig{QueueCap: burst, OnDone: func(op *OpRecord) {
+		if op.worker < 0 {
+			riders.Add(1)
+		}
+		done.Add(1)
+	}})
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); p.Serve() }()
+
+	ds := &allocFreeDS{}
+	recs := make([]OpRecord, burst)
+	ops := make([]*OpRecord, burst)
+	for i := range recs {
+		recs[i] = OpRecord{DS: ds, Val: 1}
+		ops[i] = &recs[i]
+	}
+	round := func() {
+		want := done.Load() + burst
+		if n, err := p.SubmitAll(ops); n != burst || err != nil {
+			t.Fatalf("SubmitAll = (%d, %v)", n, err)
+		}
+		for done.Load() < want {
+			goruntime.Gosched()
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round() // warm the queue, task pools, timers and park paths
+	}
+	got := testing.AllocsPerRun(200, round)
+	p.Close()
+	<-serveDone
+	if got != 0 {
+		t.Fatalf("pump round trip allocates %v objects per %d-op burst, want 0", got, burst)
+	}
+	if riders.Load() == 0 {
+		t.Fatal("no riders: the measured path did not include the top-up")
+	}
 }
 
 func TestServerDoubleClose(t *testing.T) {

@@ -160,9 +160,9 @@ type Config struct {
 	// workers always steal from batch deques, per the paper. The default
 	// is AlternatingSteal, the policy the analysis requires.
 	StealPolicy StealPolicy
-	// Policy selects the batch-formation policy — when a trapped worker
-	// stops lingering and launches a batch (see BatchPolicy). Nil means
-	// AlternatingStealPolicy, the paper's behavior.
+	// Policy selects the batch-formation policy — whether and how long a
+	// trapped worker holds before launching a batch (see BatchPolicy).
+	// Nil means AlternatingStealPolicy, the paper's immediate launch.
 	Policy BatchPolicy
 }
 
@@ -199,7 +199,11 @@ type paddedPending struct {
 	// records are recycled by their owning workers, so reading
 	// OpRecord fields from another worker's policy scan would race.
 	stamp atomic.Int64
-	_     [cacheLinePad - 16]byte
+	// seq is the number of batches that had landed when the record
+	// became pending (see Batchify); it backs the Lemma 2 gauge and is
+	// maintained only while a conformance monitor is attached.
+	seq atomic.Int64
+	_   [cacheLinePad - 24]byte
 }
 
 // Runtime is a P-worker BATCHER scheduler instance. Create with New, then
@@ -233,6 +237,11 @@ type Runtime struct {
 	// launchFn is the LaunchBatch body bound once at construction, so
 	// injecting a batch launch does not allocate a method value.
 	launchFn func(*Ctx)
+
+	// pump is the Pump currently serving on this runtime, nil otherwise
+	// (set by Pump.Serve while quiescent). LaunchBatch tops batches up
+	// from its ingress queue.
+	pump *Pump
 
 	stop atomic.Bool
 	wg   sync.WaitGroup

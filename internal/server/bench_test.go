@@ -291,8 +291,8 @@ func BenchmarkServerBatchDelay(b *testing.B) {
 // BenchmarkServerConformance prices the always-on conformance monitor
 // on the hot serving path. The monitor attaches unconditionally at
 // Start, so this is the ordinary pipelined loopback workload with the
-// land-path RecordBatch (clock reads, min-pending scan, landings ring
-// walk) inside the timed region; the nightly 1.5x gate on this bench
+// land-path RecordBatch (clock reads, min-pending and publish-sequence
+// scan) inside the timed region; the nightly 1.5x gate on this bench
 // is what keeps "always-on" honest if the monitor ever grows a cost.
 // The reported gauges double as a liveness check that the monitor
 // actually saw the run.

@@ -140,7 +140,7 @@ func (s *Server) buildMetrics() {
 		// the paper's guarantees continuously — headroom > 1 means the
 		// Theorem 5.4 envelope was exceeded, max_landings > 2 breaks
 		// Lemma 2. Always on: the per-batch cost is two clock reads and
-		// an O(P + ring) scan, and a guarantee nobody watches is not a
+		// an O(P) scan, and a guarantee nobody watches is not a
 		// guarantee.
 		sm.conform = obs.NewConform(0)
 		sh.Runtime().SetConformance(sm.conform)

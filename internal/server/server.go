@@ -39,8 +39,8 @@ type Config struct {
 	QueueCap int
 	// Policy is the batch-formation policy installed on every shard's
 	// runtime (sched.BatchPolicy; see internal/sched/policy for the
-	// shipped competitors). Nil means the scheduler default — linger
-	// under backlog, launch when the queue drains. The chosen policy's
+	// shipped competitors). Nil means the scheduler default — launch
+	// at once and top the batch up from the backlog. The chosen policy's
 	// name and per-reason launch counters appear in Snapshot and
 	// /metrics.
 	Policy sched.BatchPolicy
