@@ -1,6 +1,6 @@
 # Development targets. Everything is stdlib-only; `go` >= 1.22 suffices.
 
-.PHONY: all build vet test race bench bench-json bench-server lab lab-quick examples cover fuzz chaos
+.PHONY: all build vet test race bench lab lab-quick examples cover fuzz chaos
 
 all: build vet test
 
@@ -16,26 +16,10 @@ test:
 race:
 	go test -race ./...
 
+# Microbenchmarks, for local profiling. The repo's benchmark — the
+# numbers a perf claim is judged by — is `go run ./bench` (bench/README.md).
 bench:
 	go test -bench=. -benchmem ./...
-
-# Scheduler microbenchmarks -> BENCH_sched.json (the perf trajectory;
-# see cmd/batcherlab/benchjson.go). BENCH_ARGS tightens/loosens the run.
-BENCH_ARGS ?= -benchtime=5x -count=1
-bench-json:
-	go test -run '^$$' -bench 'Fig5Real|CounterReal|RuntimeForkJoin|BatchifyRoundTrip|ServerThroughput' \
-		-benchmem $(BENCH_ARGS) . | go run ./cmd/batcherlab benchjson -o BENCH_sched.json
-
-# End-to-end serving benchmarks (batcherd over loopback TCP) ->
-# BENCH_server.json. Appends one JSONL line per run so the file keeps a
-# trajectory instead of being overwritten. ServerHighFanIn is the
-# reactor's flat-cost witness (pre-dialed conns, 4 -> 1024); give it a
-# large -benchtime (the nightly uses 50000x) for steady-state numbers —
-# tiny iteration counts measure per-run fan-out, not serving.
-SERVER_BENCH_ARGS ?= -benchtime=2000x -count=1
-bench-server:
-	go test -run '^$$' -bench 'ServerLoopback|ServerBatchDelay|ServerHighFanIn|ServerSharded|ServerPolicy|ServerOverload|ServerConformance' -benchmem $(SERVER_BENCH_ARGS) ./internal/server \
-		| go run ./cmd/batcherlab benchjson -append -o BENCH_server.json
 
 # Regenerate the paper's evaluation (see EXPERIMENTS.md).
 lab:
@@ -67,10 +51,12 @@ fuzz:
 	go test -run '^$$' -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/server/
 	go test -run '^$$' -fuzz=FuzzDecodeResponse -fuzztime=20s ./internal/server/
 
-# The failure-containment suite: contained batch panics, fault-injected
-# structures, and the wire-level chaos tests, under the race detector.
-# Set BATCHERD_POLICY=size-cap or =deadline to rerun the server-side
-# suite under an alternative batch-formation policy (CI runs all three).
+# The failure-containment suite: contained batch panics, pump floods and
+# close-during-flood, fault-injected structures, the wire-level chaos
+# tests and the sharded shutdown drain, under the race detector. This
+# target is the one definition of the suite — CI's chaos steps call it.
+# Set BATCHERD_POLICY=size-cap or =deadline to rerun it under an
+# alternative batch-formation policy (CI runs all three).
 chaos:
-	go test -race -run 'TestContain|TestPumpServesThroughBatchPanic|TestChaos|TestStatsBooks' \
+	go test -race -run 'TestContain|TestPanickerContained|TestFlakyEveryN|TestPumpServesThroughBatchPanic|TestPumpFlood|TestPumpCloseDuringFlood|TestChaos|TestStatsBooks|TestShardedShutdownDrain' \
 		-count=1 -v ./internal/sched/ ./internal/faultinject/ ./internal/server/

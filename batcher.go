@@ -60,6 +60,10 @@ type OpKind = sched.OpKind
 // Batched is the interface batched data structures implement.
 type Batched = sched.Batched
 
+// BatchPanicError is what OpRecord.Err holds when a Pump or Server
+// contained a panic in the operation's batch; match it with errors.As.
+type BatchPanicError = sched.BatchPanicError
+
 // Metrics aggregates scheduler event counters.
 type Metrics = sched.Metrics
 
@@ -78,8 +82,13 @@ const (
 // Server is the standalone batching service for programs not written
 // against the fork-join runtime (the paper's Section 8 "pthreaded
 // programs" extension): any goroutine may Invoke operations, and the
-// scheduler's workers execute the batches. Server.Close is idempotent:
-// repeated or concurrent calls are safe and all wait for the drain.
+// scheduler's workers execute the batches. It is a blocking façade over
+// a Pump, so batches hold at most P operations and a panicking batched
+// operation is contained: the affected Invoke calls return with
+// OpRecord.Err a *BatchPanicError and the server keeps serving.
+// Server.Close is idempotent: repeated or concurrent calls are safe and
+// all wait for the drain; an Invoke that races Close either completes or
+// panics, never hangs.
 type Server = sched.Server
 
 // ServerConfig configures a Server.

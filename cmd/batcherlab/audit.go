@@ -2,29 +2,20 @@ package main
 
 // batcherlab audit — an empirical Theorem 5.4 batch-delay audit on the
 // real goroutine runtime. The completion-time analysis charges every
-// operation a *batch delay*: the wait between arriving in the pending
-// array and its batch landing. Two facts bound it (paper §5):
-//
-//   - Lemma 2: once pending, an operation is incorporated into one of
-//     the next two batches — it can miss at most the batch whose
-//     acknowledgement pass already scanned its slot.
-//   - Therefore delay ≤ (one missed batch) + (launch gap) + (own
-//     batch), i.e. at most two batch spans plus the inter-batch setup
-//     gap — the O(T1/P + T∞ + n·σ̂)-shaped bound's per-op term.
-//
-// The audit runs n Batchify round trips per structure with phase
-// stamping enabled (obs.PhasePending/Launch/Land written by the
-// scheduler into per-op records), reconstructs the batch sequence from
-// the land stamps (Invariant 1 serializes batches, so distinct land
-// stamps totally order them), and checks both facts directly:
-// batches-landed-inside-any-op's-wait ≤ 2, and max measured delay ≤
-// 2·(max batch span + max setup gap). The same quantities stream from
-// a live batcherd via /metrics (batcherd_batch_delay_ns) and /slow.
+// operation a *batch delay*, the wait between arriving in the pending
+// array and its batch landing; Lemma 2 (at most two landings inside any
+// wait) bounds it by 2·(max batch span + max setup gap). obs.Conform
+// defines and measures both facts — it is the monitor batcherd keeps on
+// every shard — so the audit only drives load: n Batchify round trips
+// per structure with a monitor attached over a window longer than the
+// run, then the monitor's snapshot, printed. The delay distribution is
+// batcherd_batch_delay_ns and `go run ./bench`'s sched.batch_delay_p99_us.
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"time"
 
 	"batcher/internal/ds/counter"
 	"batcher/internal/ds/hashmap"
@@ -35,34 +26,37 @@ import (
 	"batcher/internal/sched/policy"
 )
 
-// auditRow is one structure's audit result.
+// auditRow is one structure's audit result: the attached monitor's
+// snapshot after n ops.
 type auditRow struct {
 	name string
-	n    int   // ops completed
-	s    int64 // batches executed (scheduler count)
-	mean float64
-
-	delayP50, delayP99, delayMax int64
-	spanMax, gapMax              int64
-	maxWaited                    int // batches landed inside any op's wait
-	bound                        int64
+	n    int
+	conf obs.ConformSnapshot
 }
 
-func (r auditRow) verdictLemma2() bool { return r.maxWaited <= 2 }
-func (r auditRow) verdictDelay() bool  { return r.delayMax <= r.bound }
+func (r auditRow) bound() int64 { return 2 * (r.conf.SpanMaxNS + r.conf.GapMaxNS) }
 
-// auditOne runs n operations against one structure and measures its
-// batch-delay distribution from the per-op stamp vectors.
+// verdictLemma2 is the audit's gate: it is counted in batch sequence
+// numbers read after the publish, so a descheduled worker cannot fail it.
+func (r auditRow) verdictLemma2() bool { return r.conf.MaxLandings <= 2 && r.conf.Violations == 0 }
+
+// verdictDelay is reported, not gated: the pending stamp is read before
+// the publish (Batchify), so on an oversubscribed host a descheduled
+// worker presents a stamp older than its wait and the ratio overshoots
+// with Lemma 2 intact. The monitor reports it as measured.
+func (r auditRow) verdictDelay() bool { return r.conf.Headroom <= 1 }
+
+// auditOne runs n operations against one structure with a conformance
+// monitor attached and returns the monitor's snapshot.
 func auditOne(name string, ds sched.Batched, kind sched.OpKind, n, workers int, seed uint64, pol sched.BatchPolicy) auditRow {
 	rt := sched.New(sched.Config{Workers: workers, Seed: seed, Policy: pol})
-	rt.SetPhaseStamps(true)
-
-	// One record per operation — the audit needs every op's stamps to
-	// survive the run, so the hot path's reusable Ctx.Op is no use here.
-	recs := make([]sched.OpRecord, n)
+	// The monitor's maxima are windowed; an hour outlasts any audit run,
+	// so the snapshot covers every batch.
+	conf := obs.NewConform(time.Hour)
+	rt.SetConformance(conf)
 	rt.Run(func(c *sched.Ctx) {
 		c.For(0, n, 1, func(cc *sched.Ctx, i int) {
-			op := &recs[i]
+			op := cc.Op()
 			op.DS = ds
 			op.Kind = kind
 			op.Key = int64(i) * 2654435761 % (1 << 20)
@@ -70,68 +64,42 @@ func auditOne(name string, ds sched.Batched, kind sched.OpKind, n, workers int, 
 			cc.Batchify(op)
 		})
 	})
-
-	row := auditRow{name: name, n: n}
-	row.s, _ = rt.LiveBatchStats()
-	if row.s > 0 {
-		row.mean = float64(n) / float64(row.s)
-	}
-
-	// Reconstruct the batch sequence: batches are serialized, so the
-	// distinct land stamps order them; each batch's span runs from its
-	// earliest launch stamp to its land, and the setup gap is the hole
-	// between consecutive batches.
-	type batch struct{ launch, land int64 }
-	byLand := map[int64]*batch{}
-	for i := range recs {
-		ph := &recs[i].Phases
-		b := byLand[ph[obs.PhaseLand]]
-		if b == nil {
-			b = &batch{launch: ph[obs.PhaseLaunch], land: ph[obs.PhaseLand]}
-			byLand[ph[obs.PhaseLand]] = b
-		} else if ph[obs.PhaseLaunch] < b.launch {
-			b.launch = ph[obs.PhaseLaunch]
-		}
-	}
-	batches := make([]*batch, 0, len(byLand))
-	for _, b := range byLand {
-		batches = append(batches, b)
-	}
-	sort.Slice(batches, func(i, j int) bool { return batches[i].land < batches[j].land })
-	lands := make([]int64, len(batches))
-	for i, b := range batches {
-		lands[i] = b.land
-		if sp := b.land - b.launch; sp > row.spanMax {
-			row.spanMax = sp
-		}
-		if i > 0 {
-			if g := b.launch - batches[i-1].land; g > row.gapMax {
-				row.gapMax = g
-			}
-		}
-	}
-
-	delays := obs.NewHistogram()
-	for i := range recs {
-		ph := &recs[i].Phases
-		delays.Observe(obs.BatchDelay(*ph))
-		// Lemma 2 check: batches landing inside [pending, land] — the
-		// op's own included — may number at most 2.
-		lo := sort.Search(len(lands), func(k int) bool { return lands[k] >= ph[obs.PhasePending] })
-		hi := sort.Search(len(lands), func(k int) bool { return lands[k] > ph[obs.PhaseLand] })
-		if w := hi - lo; w > row.maxWaited {
-			row.maxWaited = w
-		}
-	}
-	row.delayP50 = delays.Quantile(0.50)
-	row.delayP99 = delays.Quantile(0.99)
-	row.delayMax = delays.Max()
-	row.bound = 2 * (row.spanMax + row.gapMax)
-	return row
+	return auditRow{name: name, n: n, conf: conf.Snapshot()}
 }
 
-// auditCmd runs the audit across every served structure and prints the
-// measured-vs-bound table (the EXPERIMENTS.md batch-delay table).
+// printAuditTable renders the measured-vs-bound table (the
+// EXPERIMENTS.md batch-delay table) followed by the two verdicts per
+// structure, and reports whether every Lemma 2 verdict passed (a delay
+// past the envelope prints WARN and does not fail the audit).
+func printAuditTable(w io.Writer, rows []auditRow) (ok bool) {
+	fmt.Fprintf(w, "%-9s %6s %7s %6s  %10s %10s %10s %10s %8s %5s %4s\n",
+		"ds", "ops", "batches", "mean", "delay_max",
+		"span_max", "gap_max", "bound", "headroom", "lands", "viol")
+	for _, r := range rows {
+		mean := 0.0
+		if r.conf.Batches > 0 {
+			mean = float64(r.n) / float64(r.conf.Batches)
+		}
+		fmt.Fprintf(w, "%-9s %6d %7d %6.2f  %10s %10s %10s %10s %8.3f %5d %4d\n",
+			r.name, r.n, r.conf.Batches, mean, fmtNS(r.conf.DelayMaxNS),
+			fmtNS(r.conf.SpanMaxNS), fmtNS(r.conf.GapMaxNS), fmtNS(r.bound()),
+			r.conf.Headroom, r.conf.MaxLandings, r.conf.Violations)
+	}
+	fmt.Fprintln(w)
+	ok = true
+	for _, r := range rows {
+		lemma2 := r.verdictLemma2()
+		ok = ok && lemma2
+		check(w, lemma2, "FAIL", fmt.Sprintf("%s: Lemma 2 — no op waited through more than 2 batch landings (max %d, %d violations)",
+			r.name, r.conf.MaxLandings, r.conf.Violations))
+		check(w, r.verdictDelay(), "WARN", fmt.Sprintf("%s: Theorem 5.4 shape — max delay %s within 2·(span+gap) bound %s",
+			r.name, fmtNS(r.conf.DelayMaxNS), fmtNS(r.bound())))
+	}
+	return ok
+}
+
+// auditCmd runs the audit across every served structure and exits
+// nonzero on a FAIL, so CI's audit steps gate on Lemma 2.
 func auditCmd() {
 	n := 4000
 	if *quick {
@@ -155,24 +123,10 @@ func auditCmd() {
 		auditOne("hashmap", hashmap.NewBatched(*seed^0xd1342543de82ef95), hashmap.OpPut, n, w, *seed, pol),
 	}
 
-	fmt.Printf("%d Batchify round trips per structure, P=%d, policy=%s, phase stamping on\n", n, w, pol.Name())
-	fmt.Printf("delay = land−pending per op; bound = 2·(max batch span + max setup gap), from Lemma 2\n\n")
-	fmt.Printf("%-9s %6s %7s %6s  %12s %12s %12s  %12s %7s %7s\n",
-		"ds", "ops", "batches", "mean", "delay_p50", "delay_p99", "delay_max", "bound", "ratio", "waited")
-	for _, r := range rows {
-		ratio := 0.0
-		if r.bound > 0 {
-			ratio = float64(r.delayMax) / float64(r.bound)
-		}
-		fmt.Printf("%-9s %6d %7d %6.2f  %12s %12s %12s  %12s %7.2f %7d\n",
-			r.name, r.n, r.s, r.mean,
-			fmtNS(r.delayP50), fmtNS(r.delayP99), fmtNS(r.delayMax),
-			fmtNS(r.bound), ratio, r.maxWaited)
-	}
-	fmt.Println()
-	for _, r := range rows {
-		check(r.verdictLemma2(), fmt.Sprintf("%s: Lemma 2 — no op waited through more than 2 batch landings (max %d)", r.name, r.maxWaited))
-		check(r.verdictDelay(), fmt.Sprintf("%s: Theorem 5.4 shape — max delay %s within 2·(span+gap) bound %s", r.name, fmtNS(r.delayMax), fmtNS(r.bound)))
+	fmt.Printf("%d Batchify round trips per structure, P=%d, policy=%s, obs.Conform attached\n", n, w, pol.Name())
+	fmt.Printf("delay = pending→land per op; bound = 2·(span_max + gap_max), from Lemma 2; headroom = delay_max/bound\n\n")
+	if !printAuditTable(os.Stdout, rows) {
+		os.Exit(1)
 	}
 }
 
@@ -187,10 +141,10 @@ func fmtNS(ns int64) string {
 	}
 }
 
-func check(ok bool, msg string) {
+func check(w io.Writer, ok bool, otherwise, msg string) {
 	verdict := "PASS"
 	if !ok {
-		verdict = "FAIL"
+		verdict = otherwise
 	}
-	fmt.Printf("%s  %s\n", verdict, msg)
+	fmt.Fprintf(w, "%s  %s\n", verdict, msg)
 }

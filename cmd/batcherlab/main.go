@@ -17,14 +17,10 @@
 //	batcherlab real     # wall-clock runs on the goroutine runtime
 //	batcherlab audit    # empirical Theorem 5.4 batch-delay audit (real runtime)
 //	batcherlab all      # everything above
-//	batcherlab benchjson [-i bench.txt] [-o BENCH_sched.json] [-append]
-//	                    # convert `go test -bench -benchmem` output to JSON
-//	                    # (-append: add one JSONL line instead of overwriting)
 //	batcherlab slow [-addr http://127.0.0.1:9100]
 //	                    # fetch a running batcherd's tail flight recorder
 //	                    # (/slow) and print the K slowest recent ops
-//	batcherlab watch [-addr 127.0.0.1:7411] [-metrics http://127.0.0.1:9100]
-//	                 [-interval 1s] [-once]
+//	batcherlab watch [-addr 127.0.0.1:7411] [-interval 1s] [-once]
 //	                    # live dashboard for a running batcherd: per-shard
 //	                    # ops/s, batching, queue depth, predicted vs
 //	                    # measured p999, Theorem 5.4 headroom, shed rate
@@ -69,17 +65,6 @@ func main() {
 	if flag.NArg() > 0 {
 		cmd = flag.Arg(0)
 	}
-	if cmd == "benchjson" {
-		// Not an experiment: a filter turning `go test -bench -benchmem`
-		// output into JSON (see benchjson.go). Excluded from "all".
-		benchjsonCmd(flag.Args()[1:])
-		return
-	}
-	if cmd == "benchcmp" {
-		// Also not an experiment: the nightly perf gate (benchcmp.go).
-		benchcmpCmd(flag.Args()[1:])
-		return
-	}
 	if cmd == "slow" {
 		// Operational: fetch a running batcherd's tail flight recorder
 		// (slow.go). Takes its own -addr flag, excluded from "all".
@@ -88,7 +73,7 @@ func main() {
 	}
 	if cmd == "watch" {
 		// Operational: polling dashboard over a running batcherd's stats
-		// and metrics (watch.go). Own flags, excluded from "all".
+		// document (watch.go). Own flags, excluded from "all".
 		watchCmd(flag.Args()[1:])
 		return
 	}

@@ -1,26 +1,19 @@
 package main
 
 // batcherlab watch — a polling terminal dashboard for a running
-// batcherd. Each frame combines two sources: the server's live stats
-// document (a DSStats request over the serving port — ops/s, batching,
-// queue depths, admission figures, conformance gauges) and, when
-// -metrics is given, a scrape of the Prometheus listener to compute
-// each shard's *measured* p999 from the batcherd_op_total_ns
-// cumulative buckets. The measured column next to the twin's
-// predicted column is the dashboard's point: the analytical twin and
-// the Theorem 5.4 envelope are live claims, and watch shows whether
-// reality is honoring them right now.
+// batcherd. Each frame renders one source, the server's live stats
+// document (a DSStats request over the serving port): ops/s, batching,
+// queue depths, admission figures, conformance gauges, and each shard's
+// measured p999. The measured column next to the twin's predicted
+// column is the dashboard's point: the analytical twin and the Theorem
+// 5.4 envelope are live claims, and watch shows whether reality is
+// honoring them right now.
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"batcher/internal/loadgen"
@@ -30,8 +23,6 @@ import (
 func watchCmd(args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7411", "batcherd serving address (stats via the wire protocol)")
-	metricsURL := fs.String("metrics", "",
-		"batcherd metrics listener base URL (e.g. http://127.0.0.1:9100); enables the measured-p999 scrape")
 	interval := fs.Duration("interval", time.Second, "poll interval")
 	once := fs.Bool("once", false, "render a single frame and exit (no screen clearing)")
 	fs.Parse(args)
@@ -44,21 +35,13 @@ func watchCmd(args []string) {
 			fmt.Fprintln(os.Stderr, "watch:", err)
 			os.Exit(1)
 		}
-		var measured map[int]int64
-		if *metricsURL != "" {
-			measured, err = scrapeMeasuredP999(*metricsURL)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "watch: metrics scrape:", err)
-				os.Exit(1)
-			}
-		}
 		now := time.Now()
 		dt := now.Sub(prevAt).Seconds()
 		if !*once {
 			// Home the cursor and clear: repaint in place, no scrollback spam.
 			fmt.Print("\x1b[H\x1b[2J")
 		}
-		renderWatch(os.Stdout, st, prev, dt, measured)
+		renderWatch(os.Stdout, st, prev, dt)
 		if *once {
 			return
 		}
@@ -83,7 +66,7 @@ func fetchStats(addr string) (server.Stats, error) {
 // renderWatch paints one dashboard frame. prev is the previous frame's
 // stats (nil on the first frame): with it, ops/s and shed/s are exact
 // interval rates; without it they fall back to lifetime averages.
-func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64, measured map[int]int64) {
+func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64) {
 	slo := "off"
 	if st.AdmitSLONS > 0 {
 		slo = time.Duration(st.AdmitSLONS).String()
@@ -116,13 +99,9 @@ func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64, m
 			shardOps = float64(ss.Completed-prev.PerShard[i].Completed) / dt
 			shardShed = float64(ss.Shed-prev.PerShard[i].Shed) / dt
 		}
-		meas := ss.MeasuredP999NS
-		if m, ok := measured[ss.Shard]; ok {
-			meas = m
-		}
 		fmt.Fprintf(w, "%6d %10.0f %8.2f %7d %12s %12s %9.3f %6d %9.1f\n",
 			ss.Shard, shardOps, ss.MeanBatch, ss.QueueDepth,
-			fmtNS(ss.PredictedP999NS), fmtNS(meas),
+			fmtNS(ss.PredictedP999NS), fmtNS(ss.MeasuredP999NS),
 			ss.Conformance.Headroom, ss.Conformance.MaxLandings, shardShed)
 	}
 }
@@ -133,105 +112,4 @@ func sumCompleted(st server.Stats) int64 {
 		n += ss.Completed
 	}
 	return n
-}
-
-// scrapeMeasuredP999 fetches /metrics and computes each shard's p999
-// from the batcherd_op_total_ns cumulative buckets — the end-to-end
-// latency family, always exported, independent of whether admission
-// control (and so the twin's own realized-p999 pairing) is on.
-func scrapeMeasuredP999(base string) (map[int]int64, error) {
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server returned %s", resp.Status)
-	}
-	return parseBucketP999(resp.Body, "batcherd_op_total_ns", 0.999)
-}
-
-// promBucket is one parsed cumulative bucket sample.
-type promBucket struct {
-	upper int64 // le boundary; +Inf parses as math.MaxInt64-ish sentinel
-	count int64
-}
-
-// parseBucketP999 scans Prometheus text for family's _bucket samples
-// (labelled shard="N") and computes the q-quantile per shard from the
-// cumulative counts.
-func parseBucketP999(r io.Reader, family string, q float64) (map[int]int64, error) {
-	prefix := family + "_bucket{"
-	buckets := make(map[int][]promBucket)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		shard, b, ok := parseBucketLine(line[len(prefix):])
-		if !ok {
-			return nil, fmt.Errorf("malformed bucket line: %q", line)
-		}
-		buckets[shard] = append(buckets[shard], b)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	out := make(map[int]int64, len(buckets))
-	for shard, bs := range buckets {
-		sort.Slice(bs, func(i, j int) bool { return bs[i].upper < bs[j].upper })
-		total := bs[len(bs)-1].count
-		if total == 0 {
-			continue
-		}
-		target := int64(q * float64(total))
-		if target < 1 {
-			target = 1
-		}
-		for _, b := range bs {
-			if b.count >= target {
-				out[shard] = b.upper
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// parseBucketLine parses `shard="0",le="12345"} 678` (the remainder of
-// a bucket sample line after the family prefix). Label order is fixed
-// by the exporter: shard first, le last.
-func parseBucketLine(rest string) (shard int, b promBucket, ok bool) {
-	end := strings.Index(rest, "} ")
-	if end < 0 {
-		return 0, promBucket{}, false
-	}
-	labels, value := rest[:end], rest[end+2:]
-	var shardStr, leStr string
-	for _, part := range strings.Split(labels, ",") {
-		switch {
-		case strings.HasPrefix(part, `shard="`):
-			shardStr = strings.TrimSuffix(strings.TrimPrefix(part, `shard="`), `"`)
-		case strings.HasPrefix(part, `le="`):
-			leStr = strings.TrimSuffix(strings.TrimPrefix(part, `le="`), `"`)
-		}
-	}
-	shard, err := strconv.Atoi(shardStr)
-	if err != nil {
-		return 0, promBucket{}, false
-	}
-	if leStr == "+Inf" {
-		b.upper = 1<<62 - 1
-	} else if b.upper, err = strconv.ParseInt(leStr, 10, 64); err != nil {
-		return 0, promBucket{}, false
-	}
-	if b.count, err = strconv.ParseInt(strings.TrimSpace(value), 10, 64); err != nil {
-		return 0, promBucket{}, false
-	}
-	return shard, b, true
 }

@@ -2,15 +2,14 @@ package main
 
 // The watch dashboard's "-once renders the same numbers" witness: a
 // real sharded server is started in-process, driven with traffic, and
-// one frame is rendered from exactly the sources the subcommand uses —
-// a DSStats fetch over the wire plus a /metrics scrape. The frame must
-// carry the stats document's own figures, and the scrape-derived
-// measured p999 must agree with the histogram the server exported.
+// one frame is rendered from exactly the source the subcommand uses — a
+// DSStats fetch over the wire. The frame must carry the stats
+// document's own figures, measured p999 included, with admission on
+// and with it off.
 
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -20,108 +19,76 @@ import (
 )
 
 func TestWatchRenderOnce(t *testing.T) {
-	s, err := server.Start(server.Config{
-		Workers:       2,
-		Shards:        2,
-		Seed:          3101,
-		SLO:           time.Second,
-		AdmitInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer s.Shutdown()
-	addr := s.Addr().String()
+	for _, tc := range []struct {
+		name string
+		slo  time.Duration
+	}{{"admission-on", time.Second}, {"admission-off", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := server.Start(server.Config{
+				Workers:       2,
+				Shards:        2,
+				Seed:          3101,
+				SLO:           tc.slo,
+				AdmitInterval: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			defer s.Shutdown()
+			addr := s.Addr().String()
 
-	if _, err := loadgen.Run(loadgen.Workload{
-		Addr: addr, Conns: 4, Ops: 200, Window: 8,
-		DS: server.DSHashmap, KeySpace: 1 << 12, Seed: 3102,
-	}); err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
+			if _, err := loadgen.Run(loadgen.Workload{
+				Addr: addr, Conns: 4, Ops: 200, Window: 8,
+				DS: server.DSHashmap, KeySpace: 1 << 12, Seed: 3102,
+			}); err != nil {
+				t.Fatalf("loadgen: %v", err)
+			}
 
-	st, err := fetchStats(addr)
-	if err != nil {
-		t.Fatalf("fetchStats: %v", err)
-	}
-	if st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("stats document: shards=%d per_shard=%d", st.Shards, len(st.PerShard))
-	}
+			st, err := fetchStats(addr)
+			if err != nil {
+				t.Fatalf("fetchStats: %v", err)
+			}
+			if st.Shards != 2 || len(st.PerShard) != 2 {
+				t.Fatalf("stats document: shards=%d per_shard=%d", st.Shards, len(st.PerShard))
+			}
+			// With admission off there is no sampler to realize an interval
+			// p999, so the document must carry the lifetime one instead: a
+			// busy shard never shows an empty measured column.
+			if tc.slo == 0 {
+				for _, ss := range st.PerShard {
+					if ss.Completed > 0 && ss.MeasuredP999NS <= 0 {
+						t.Errorf("shard %d completed %d ops but measured_p999_ns = %d",
+							ss.Shard, ss.Completed, ss.MeasuredP999NS)
+					}
+				}
+			}
 
-	srv := httptest.NewServer(s.MetricsHandler())
-	defer srv.Close()
-	measured, err := scrapeMeasuredP999(srv.URL)
-	if err != nil {
-		t.Fatalf("scrapeMeasuredP999: %v", err)
-	}
-	for _, ss := range st.PerShard {
-		if ss.Completed == 0 {
-			continue
-		}
-		m, ok := measured[ss.Shard]
-		if !ok || m <= 0 {
-			t.Errorf("shard %d: no measured p999 from the scrape (%v)", ss.Shard, measured)
-		}
-	}
+			var buf bytes.Buffer
+			renderWatch(&buf, st, nil, 0)
+			out := buf.String()
+			t.Logf("frame:\n%s", out)
 
-	var buf bytes.Buffer
-	renderWatch(&buf, st, nil, 0, measured)
-	out := buf.String()
-	t.Logf("frame:\n%s", out)
-
-	// The frame renders the stats document's numbers, not approximations
-	// of them: the global line carries the rollup gauges verbatim...
-	wantGlobal := fmt.Sprintf("headroom %.3f  max_landings %d  twin_residual %.1f%%",
-		st.ConformHeadroom, st.ConformMaxLandings, st.TwinResidualPct)
-	if !strings.Contains(out, wantGlobal) {
-		t.Errorf("frame missing global gauges %q", wantGlobal)
-	}
-	// ...and each shard's row carries its own headroom, landings, and
-	// predicted/measured p999 columns.
-	for _, ss := range st.PerShard {
-		meas := ss.MeasuredP999NS
-		if m, ok := measured[ss.Shard]; ok {
-			meas = m
-		}
-		row := fmt.Sprintf("%12s %12s %9.3f %6d",
-			fmtNS(ss.PredictedP999NS), fmtNS(meas),
-			ss.Conformance.Headroom, ss.Conformance.MaxLandings)
-		if !strings.Contains(out, row) {
-			t.Errorf("frame missing shard %d columns %q", ss.Shard, row)
-		}
-	}
-	if !strings.Contains(out, "pred_p999") || !strings.Contains(out, "meas_p999") {
-		t.Error("frame missing the per-shard table header")
-	}
-}
-
-// TestParseBucketP999 pins the scrape parser on a synthetic exposition:
-// cumulative buckets for two shards, where shard 0's p999 falls in its
-// last finite bucket and shard 1's in an earlier one.
-func TestParseBucketP999(t *testing.T) {
-	text := `# HELP batcherd_op_total_ns end-to-end
-# TYPE batcherd_op_total_ns histogram
-batcherd_op_total_ns_bucket{shard="0",le="1000"} 500
-batcherd_op_total_ns_bucket{shard="0",le="2000"} 999
-batcherd_op_total_ns_bucket{shard="0",le="4000"} 1000
-batcherd_op_total_ns_bucket{shard="0",le="+Inf"} 1000
-batcherd_op_total_ns_sum{shard="0"} 12345
-batcherd_op_total_ns_count{shard="0"} 1000
-batcherd_op_total_ns_bucket{shard="1",le="700"} 10
-batcherd_op_total_ns_bucket{shard="1",le="+Inf"} 10
-other_family_bucket{shard="9",le="5"} 7
-`
-	got, err := parseBucketP999(strings.NewReader(text), "batcherd_op_total_ns", 0.999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2000 {
-		t.Errorf("shard 0 p999 = %d, want 2000 (the 999th of 1000 observations)", got[0])
-	}
-	if got[1] != 700 {
-		t.Errorf("shard 1 p999 = %d, want 700", got[1])
-	}
-	if len(got) != 2 {
-		t.Errorf("parsed %d shards, want 2: %v", len(got), got)
+			// The frame renders the stats document's numbers, not
+			// approximations of them: the global line carries the rollup
+			// gauges verbatim...
+			wantGlobal := fmt.Sprintf("headroom %.3f  max_landings %d  twin_residual %.1f%%",
+				st.ConformHeadroom, st.ConformMaxLandings, st.TwinResidualPct)
+			if !strings.Contains(out, wantGlobal) {
+				t.Errorf("frame missing global gauges %q", wantGlobal)
+			}
+			// ...and each shard's row carries its own headroom, landings,
+			// and predicted/measured p999 columns.
+			for _, ss := range st.PerShard {
+				row := fmt.Sprintf("%12s %12s %9.3f %6d",
+					fmtNS(ss.PredictedP999NS), fmtNS(ss.MeasuredP999NS),
+					ss.Conformance.Headroom, ss.Conformance.MaxLandings)
+				if !strings.Contains(out, row) {
+					t.Errorf("frame missing shard %d columns %q", ss.Shard, row)
+				}
+			}
+			if !strings.Contains(out, "pred_p999") || !strings.Contains(out, "meas_p999") {
+				t.Error("frame missing the per-shard table header")
+			}
+		})
 	}
 }

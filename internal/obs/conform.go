@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// Live conformance monitor: the always-on counterpart of `batcherlab
-// audit`. The audit reconstructs batches from recorded land stamps
-// after the fact and checks the paper's guarantees offline; Conform
-// checks them continuously while serving, from the scheduler's own
-// batch-land path, and exposes the result as scrapeable gauges.
+// Live conformance monitor: the one implementation of the paper's
+// per-op guarantees. It checks them continuously from the scheduler's
+// own batch-land path; batcherd exposes the result as scrapeable gauges
+// and `batcherlab audit` prints the same snapshot after an offline run.
 //
 // The two guarantees tracked, per DESIGN.md §16:
 //

@@ -457,41 +457,3 @@ type dsGroup struct {
 	ds  Batched
 	ops []*OpRecord
 }
-
-// groupByDS partitions the working set by target structure, preserving
-// the (arbitrary) compaction order within each group. P is small, so a
-// linear scan with a tiny association list beats a map allocation. It is
-// the allocating cousin of batchScratch.groupWorking, used by Server,
-// whose batches are not bounded by Invariant 2.
-func groupByDS(working []*OpRecord) []dsGroup {
-	groups := make([]dsGroup, 0, 2)
-outer:
-	for _, op := range working {
-		for gi := range groups {
-			if groups[gi].ds == op.DS {
-				groups[gi].ops = append(groups[gi].ops, op)
-				continue outer
-			}
-		}
-		groups = append(groups, dsGroup{ds: op.DS, ops: []*OpRecord{op}})
-	}
-	return groups
-}
-
-// runGroups executes each group's RunBatch, in parallel across groups via
-// binary forking. Used by Server; the scheduler's own LaunchBatch uses
-// the scratch-based loop above.
-func runGroups(c *Ctx, groups []dsGroup) {
-	switch len(groups) {
-	case 0:
-		return
-	case 1:
-		groups[0].ds.RunBatch(c, groups[0].ops)
-	default:
-		mid := len(groups) / 2
-		c.Fork(
-			func(cc *Ctx) { runGroups(cc, groups[:mid]) },
-			func(cc *Ctx) { runGroups(cc, groups[mid:]) },
-		)
-	}
-}

@@ -66,9 +66,8 @@ func BenchmarkServerLoopback(b *testing.B) {
 // pre-dialed by a loadgen.Driver so the timed region is pure
 // steady-state serving — the flat-cost claim is that ns/op at 256
 // conns stays within 1.5x of 4 conns, and allocs/op stays in low
-// single digits (the nightly benchcmp gate holds both). Alloc counts
-// include the in-process client, which runs allocation-free at steady
-// state on its timestamp rings.
+// single digits. Alloc counts include the in-process client, which
+// runs allocation-free at steady state on its timestamp rings.
 func BenchmarkServerHighFanIn(b *testing.B) {
 	for _, conns := range []int{4, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
@@ -125,10 +124,10 @@ func BenchmarkServerHighFanIn(b *testing.B) {
 // BenchmarkServerSharded sweeps shard count at fixed fan-in (256
 // pre-dialed connections) under uniform and zipfian key distributions.
 // shards=1 is the regression anchor: the router fast path must keep it
-// within 1.5x of the unsharded HighFanIn numbers (nightly benchcmp
-// gate). Higher shard counts show what per-shard admission buys — or
-// costs — on this box; on the 1-CPU CI machine the interesting figure
-// is the flat per-op overhead of span grouping, not parallel speedup.
+// within 1.5x of the unsharded HighFanIn numbers. Higher shard counts
+// show what per-shard admission buys — or costs — on this box; on the
+// 1-CPU CI machine the interesting figure is the flat per-op overhead
+// of span grouping, not parallel speedup.
 func BenchmarkServerSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, dist := range []string{"uniform", "zipf"} {
@@ -187,9 +186,9 @@ func BenchmarkServerSharded(b *testing.B) {
 // fan-in (64 pre-dialed connections, pipeline 16): the same serving
 // stack, only the launch decision changes. policy=default is the
 // regression anchor — the seam itself must be free, so its numbers
-// track BenchmarkServerHighFanIn/conns=64 (nightly benchcmp gates
-// every policy's row). The batch-size metric is the policy's visible
-// effect: size-cap trades it down for latency, deadline trades it up.
+// track BenchmarkServerHighFanIn/conns=64. The batch-size metric is the
+// policy's visible effect: size-cap trades it down for latency,
+// deadline trades it up.
 func BenchmarkServerPolicy(b *testing.B) {
 	for _, name := range []string{"default", "size-cap", "deadline"} {
 		b.Run("policy="+name, func(b *testing.B) {
@@ -246,8 +245,7 @@ func BenchmarkServerPolicy(b *testing.B) {
 // requests carry OpFlagPhases, responses echo the stamp vector, and the
 // reported metrics decompose client-visible latency into the paper's
 // batch-delay term (pending-array arrival to batch landing) and its
-// tail. It also keeps the phased serving path itself on the nightly
-// perf gate — the trailer encode/decode and the per-op histogram
+// tail. The trailer encode/decode and the per-op histogram
 // observations are all inside the timed region.
 func BenchmarkServerBatchDelay(b *testing.B) {
 	const conns = 16
@@ -292,10 +290,9 @@ func BenchmarkServerBatchDelay(b *testing.B) {
 // on the hot serving path. The monitor attaches unconditionally at
 // Start, so this is the ordinary pipelined loopback workload with the
 // land-path RecordBatch (clock reads, min-pending and publish-sequence
-// scan) inside the timed region; the nightly 1.5x gate on this bench
-// is what keeps "always-on" honest if the monitor ever grows a cost.
-// The reported gauges double as a liveness check that the monitor
-// actually saw the run.
+// scan) inside the timed region: the number to watch if the monitor
+// ever grows a cost. The reported gauges double as a liveness check
+// that the monitor actually saw the run.
 func BenchmarkServerConformance(b *testing.B) {
 	const conns = 16
 	s, err := server.Start(server.Config{Workers: 4, Seed: 44})
@@ -344,10 +341,10 @@ func BenchmarkServerConformance(b *testing.B) {
 // (every excess op takes the saturation-park path) and on (the twin
 // sheds the excess at the edge with a fast FlagErr). The admit=off
 // rows price the pre-twin brownout behavior; admit=on must stay
-// within the nightly 1.5x gate of them — shedding is only worth
-// shipping if saying "no" costs less than parking. The shed-frac
-// metric reports how much of the offered load the controller
-// refused; errors are expected there, not a failure.
+// within 1.5x of them — shedding is only worth shipping if saying
+// "no" costs less than parking. The shed-frac metric reports how much
+// of the offered load the controller refused; errors are expected
+// there, not a failure.
 func BenchmarkServerOverload(b *testing.B) {
 	for _, load := range []struct {
 		name     string

@@ -215,6 +215,11 @@ func TestStatsBooksBalance(t *testing.T) {
 	if len(st.PerShard) != 1 || st.PerShard[0].OpsPerSec != st.OpsPerSec {
 		t.Fatalf("per-shard ops/s %+v does not sum to global %v", st.PerShard, st.OpsPerSec)
 	}
+	// Admission is off here, so no sampler realizes an interval p999;
+	// the document still owes the shard's measured tail (lifetime).
+	if got := st.PerShard[0].MeasuredP999NS; got <= 0 {
+		t.Fatalf("measured_p999_ns = %d on a shard that served %d ops with admission off", got, pumped)
+	}
 	if up := st.UptimeSec; up > 0 {
 		want := float64(pumped) / up
 		if math.Abs(st.OpsPerSec-want)/want > 0.2 {

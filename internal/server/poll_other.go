@@ -23,9 +23,14 @@ const reactorRunsLoops = false
 // poller is unused on this platform; the field stays nil.
 type poller struct{}
 
-func (p *poller) wake() {}
+func (p *poller) wake()  {}
+func (p *poller) close() {}
 
 func (l *rloop) initPoll() error { return nil }
+
+// run is never started here (reactorRunsLoops is false); it exists so
+// the shared Start code compiles.
+func (l *rloop) run() {}
 
 // readable is a no-op here: the conn's own goroutine resumes reading
 // when resumeConn unparks it.

@@ -130,9 +130,10 @@ type ShardStats struct {
 	Abandoned int64 `json:"abandoned"`
 	// PredictedP999NS is this shard's twin prediction at the last
 	// admission sampler tick (0 with admission off or cold);
-	// MeasuredP999NS the p999 realized over that tick's interval, and
-	// TwinResidualPct the rolling mean absolute percent error between
-	// the two (both 0 with admission off).
+	// MeasuredP999NS the end-to-end p999 realized over that tick's
+	// interval — or, with admission off, over the shard's lifetime, so
+	// the figure is never missing — and TwinResidualPct the rolling mean
+	// absolute percent error between the two (0 with admission off).
 	PredictedP999NS int64   `json:"predicted_p999_ns"`
 	MeasuredP999NS  int64   `json:"measured_p999_ns"`
 	TwinResidualPct float64 `json:"twin_residual_pct"`
@@ -204,6 +205,8 @@ func (s *Server) Snapshot() Stats {
 			ss.PredictedP999NS = s.admission[i].Predicted()
 			ss.MeasuredP999NS = s.twin[i].realized.Load()
 			ss.TwinResidualPct = s.twin[i].residualPct()
+		} else {
+			ss.MeasuredP999NS = s.shardM[i].totalHist.Quantile(0.999)
 		}
 		ss.Conformance = s.shardM[i].conform.Snapshot()
 		st.Offered += ss.Offered
