@@ -1,7 +1,8 @@
 package skiplist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"batcher/internal/sched"
 )
@@ -26,24 +27,36 @@ const (
 
 // Batched is the implicitly batched skip list.
 //
-// The scratch fields hold per-batch working storage, reused across
-// batches: the scheduler runs at most one batch at a time (Invariant 1),
-// so RunBatch is never re-entered concurrently on the same structure.
+// The scratch fields hold per-batch working storage and chunkBody is the
+// one search loop body, bound at construction; both are reused across
+// batches, so a warmed-up RunBatch allocates nothing. Reuse is legal
+// because the scheduler runs at most one batch at a time (Invariant 1):
+// RunBatch is never re-entered concurrently on the same structure.
 type Batched struct {
 	l *List
 
-	lookups []*sched.OpRecord
-	succs   []*sched.OpRecord
+	reads   []*sched.OpRecord // lookups and successor queries
 	deletes []*sched.OpRecord
 	inserts []insertReq
-	preds   []*node // flat [i*maxLevel, (i+1)*maxLevel) predecessor towers
+	keys    []int64 // the keys of the search pass in progress
+	preds   []*node // key i's predecessor tower at [i*maxLevel, (i+1)*maxLevel)
+
+	chunkBody func(*sched.Ctx, int)
 }
 
 var _ sched.Batched = (*Batched)(nil)
 
 // NewBatched returns an empty batched skip list with the given height
 // seed.
-func NewBatched(seed uint64) *Batched { return &Batched{l: NewList(seed)} }
+func NewBatched(seed uint64) *Batched {
+	b := &Batched{l: NewList(seed)}
+	b.chunkBody = func(_ *sched.Ctx, ci int) {
+		lo := ci * searchChunk
+		hi := min(lo+searchChunk, len(b.keys))
+		b.l.searchPredsN(b.keys[lo:hi], b.preds[lo*maxLevel:hi*maxLevel])
+	}
+	return b
+}
 
 // List exposes the underlying list for quiescent inspection (tests,
 // initialization before a run).
@@ -96,34 +109,30 @@ func (b *Batched) Delete(c *sched.Ctx, key int64) bool {
 // insertReq is one key's insertion work item within a batch.
 type insertReq struct {
 	key, val int64
-	op       *sched.OpRecord // nil for the tail keys of an OpInsertMany
-	preds    []*node
+	op       *sched.OpRecord
 }
 
 // RunBatch implements sched.Batched. The batch linearizes as: all
-// Contains ops (against the pre-batch state), then all inserts in key
-// order, then all deletes in key order. Each phase searches in parallel;
-// structural modification is sequential, as in the paper's prototype.
+// Contains and Succ ops (against the pre-batch state), then all inserts
+// in key order, then all deletes in key order. Searching is the
+// parallel step; structural modification is sequential, as in the
+// paper's prototype.
 func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
-	lookups := b.lookups[:0]
-	succs := b.succs[:0]
+	reads := b.reads[:0]
 	deletes := b.deletes[:0]
 	inserts := b.inserts[:0]
 	for _, op := range ops {
 		switch op.Kind {
-		case OpContains:
-			lookups = append(lookups, op)
-		case OpSucc:
-			succs = append(succs, op)
+		case OpContains, OpSucc:
+			reads = append(reads, op)
 		case OpDelete:
 			deletes = append(deletes, op)
 		case OpInsert:
 			inserts = append(inserts, insertReq{key: op.Key, val: op.Val, op: op})
 		case OpInsertMany:
-			keys := op.Aux.([]int64)
-			for _, k := range keys {
-				// Every key carries its record so Res can accumulate the
-				// number of newly inserted keys.
+			// Every key carries its record so Res can accumulate the
+			// number of newly inserted keys.
+			for _, k := range op.Aux.([]int64) {
 				inserts = append(inserts, insertReq{key: k, val: op.Val, op: op})
 			}
 			op.Res = 0
@@ -131,83 +140,99 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 			panic("skiplist: unknown op kind")
 		}
 	}
-	b.lookups, b.succs, b.deletes, b.inserts = lookups, succs, deletes, inserts
+	b.reads, b.deletes, b.inserts = reads, deletes, inserts
 
-	// Phase 1: lookups and successor queries, fully parallel, read-only.
-	c.For(0, len(lookups), 1, func(_ *sched.Ctx, i int) {
-		lookups[i].Res, lookups[i].Ok = b.l.Contains(lookups[i].Key)
-	})
-	c.For(0, len(succs), 1, func(_ *sched.Ctx, i int) {
-		op := succs[i]
-		op.Key, op.Res, op.Ok = b.l.Succ(op.Key)
-	})
-
-	// Phase 2: inserts.
-	b.runInserts(c, inserts, ops)
-
-	// Phase 3: deletes.
-	b.runDeletes(c, deletes)
-}
-
-func (b *Batched) runInserts(c *sched.Ctx, inserts []insertReq, ops []*sched.OpRecord) {
-	if len(inserts) == 0 {
-		return
-	}
-	// Step 1 (sequential): order the batch by key. Stable so that when a
-	// key appears twice in one batch, the earlier record in compaction
+	// Step 1 (sequential): order the inserts by key. Stable so that when
+	// a key appears twice in one batch, the earlier record in compaction
 	// order performs the insert and later ones become updates.
-	sort.SliceStable(inserts, func(i, j int) bool { return inserts[i].key < inserts[j].key })
+	slices.SortStableFunc(inserts, func(x, y insertReq) int { return cmp.Compare(x.key, y.key) })
 
-	// Step 2 (parallel): search the main list for each key's predecessor
-	// tower. Read-only on the main list; towers are disjoint slices of
-	// the flat scratch buffer, so parallel fills do not overlap.
-	buf := b.predScratch(len(inserts))
-	c.For(0, len(inserts), 1, func(_ *sched.Ctx, i int) {
-		preds := buf[i*maxLevel : (i+1)*maxLevel : (i+1)*maxLevel]
-		b.l.searchPreds(inserts[i].key, preds)
-		inserts[i].preds = preds
-	})
-
-	// Step 3 (sequential): splice in ascending key order. Earlier splices
-	// can invalidate saved predecessors only by inserting nodes with
-	// smaller keys, so advancing each saved predecessor forward restores
-	// correctness at amortized O(1) per level.
-	countNew := func(r *insertReq) {
-		if r.op == nil {
-			return
-		}
-		switch r.op.Kind {
-		case OpInsert:
-			r.op.Ok = true
-		case OpInsertMany:
-			r.op.Res++
-		}
+	// Step 2 (parallel): one search pass over the pre-batch list serves
+	// the reads and finds every insert's predecessor tower.
+	keys := b.keys[:0]
+	for _, op := range reads {
+		keys = append(keys, op.Key)
 	}
 	for i := range inserts {
-		r := &inserts[i]
-		key := r.key
-		for lv := 0; lv < maxLevel; lv++ {
-			p := r.preds[lv]
-			for p.next[lv] != nil && p.next[lv].key < key {
-				p = p.next[lv]
-			}
-			r.preds[lv] = p
-		}
-		if nxt := r.preds[0].next[0]; nxt != nil && nxt.key == key {
-			nxt.val = r.val // duplicate: update in place
-			if r.op != nil && r.op.Kind == OpInsert {
-				r.op.Ok = false
-			}
-			continue
-		}
-		b.l.link(key, r.val, r.preds)
-		countNew(r)
+		keys = append(keys, inserts[i].key)
 	}
+	towers := b.search(c, keys)
+	for i, op := range reads {
+		nxt := towers[i*maxLevel].t0
+		switch {
+		case op.Kind == OpSucc:
+			if op.Ok = nxt != nil; op.Ok {
+				op.Key, op.Res = nxt.key, nxt.val
+			} else {
+				op.Key, op.Res = 0, 0
+			}
+		case nxt != nil && nxt.key == op.Key:
+			op.Res, op.Ok = nxt.val, true
+		default:
+			op.Res, op.Ok = 0, false
+		}
+	}
+
+	// Step 3 (sequential): splice.
+	b.splice(inserts, towers[len(reads)*maxLevel:])
 	// InsertMany records that contributed only duplicate keys still need
 	// Ok set; define Ok as "at least one key newly inserted".
 	for _, op := range ops {
 		if op.Kind == OpInsertMany {
 			op.Ok = op.Res > 0
+		}
+	}
+
+	b.runDeletes(c, deletes)
+}
+
+// search finds the predecessor tower of every key, in chunks of
+// searchChunk keys that run as a parallel loop; a batch of at most
+// searchChunk keys is one chunk and forks nothing. Key i's tower is
+// returned at [i*maxLevel, (i+1)*maxLevel), filled below b.l.level. The
+// chunks only read the list and write disjoint towers.
+func (b *Batched) search(c *sched.Ctx, keys []int64) []*node {
+	b.keys = keys
+	if n := len(keys) * maxLevel; cap(b.preds) < n {
+		b.preds = make([]*node, n)
+	}
+	c.For(0, (len(keys)+searchChunk-1)/searchChunk, 1, b.chunkBody)
+	return b.preds
+}
+
+// splice links the key-sorted inserts in ascending order; insert i's
+// tower is towers[i*maxLevel:(i+1)*maxLevel]. Earlier splices can
+// invalidate a saved predecessor only by inserting nodes with smaller
+// keys in front of it, so seeking forward from it restores correctness
+// at amortized O(1) per level. Only the levels the new node occupies
+// are re-walked, and level 0 first: a duplicate needs no others.
+func (b *Batched) splice(inserts []insertReq, towers []*node) {
+	l := b.l
+	searched := l.level // the search filled towers below this level
+	for i := range inserts {
+		r := &inserts[i]
+		preds := towers[i*maxLevel : (i+1)*maxLevel]
+		preds[0] = preds[0].seek(0, r.key)
+		if nxt := preds[0].t0; nxt != nil && nxt.key == r.key {
+			nxt.val = r.val // duplicate: update in place
+			if r.op.Kind == OpInsert {
+				r.op.Ok = false
+			}
+			continue
+		}
+		h := l.height(r.key)
+		for lv := 1; lv < h; lv++ {
+			p := l.head // a level this batch's taller splices opened
+			if lv < searched {
+				p = preds[lv]
+			}
+			preds[lv] = p.seek(lv, r.key)
+		}
+		l.link(r.key, r.val, h, preds)
+		if r.op.Kind == OpInsert {
+			r.op.Ok = true
+		} else {
+			r.op.Res++
 		}
 	}
 }
@@ -220,29 +245,20 @@ func (b *Batched) runDeletes(c *sched.Ctx, deletes []*sched.OpRecord) {
 	// while every node already unlinked in this phase has key > k — so
 	// saved predecessors are always live and their current next pointers
 	// reflect prior unlinks.
-	sort.Slice(deletes, func(i, j int) bool { return deletes[i].Key > deletes[j].Key })
+	slices.SortStableFunc(deletes, func(x, y *sched.OpRecord) int { return cmp.Compare(y.Key, x.Key) })
 	// The insert phase is over, so its predecessor towers are dead and
-	// the flat scratch can be reused.
-	buf := b.predScratch(len(deletes))
-	c.For(0, len(deletes), 1, func(_ *sched.Ctx, i int) {
-		b.l.searchPreds(deletes[i].Key, buf[i*maxLevel:(i+1)*maxLevel])
-	})
+	// the search scratch can be reused.
+	keys := b.keys[:0]
+	for _, op := range deletes {
+		keys = append(keys, op.Key)
+	}
+	towers := b.search(c, keys)
 	for i, op := range deletes {
-		preds := buf[i*maxLevel : (i+1)*maxLevel]
-		target := preds[0].next[0]
-		if target == nil || target.key != op.Key {
-			op.Ok = false // absent, or a duplicate delete already took it
-			continue
+		preds := towers[i*maxLevel : (i+1)*maxLevel]
+		target := preds[0].t0
+		// Absent, or a duplicate delete already took it.
+		if op.Ok = target != nil && target.key == op.Key; op.Ok {
+			b.l.unlink(target, preds)
 		}
-		b.l.unlink(target, preds)
-		op.Ok = true
 	}
-}
-
-// predScratch returns a flat buffer with room for n predecessor towers.
-func (b *Batched) predScratch(n int) []*node {
-	if cap(b.preds) < n*maxLevel {
-		b.preds = make([]*node, n*maxLevel)
-	}
-	return b.preds[:n*maxLevel]
 }

@@ -76,8 +76,8 @@ func TestBatchedDuplicateKeysWithinRun(t *testing.T) {
 }
 
 func TestBatchedMatchesSequentialStructure(t *testing.T) {
-	// Same seed + same key set => identical tower structure, so Keys()
-	// and invariants must match a sequential build exactly.
+	// Same seed + same key set => identical tower structure, so every
+	// level must link the same keys as a sequential build.
 	seq := NewList(5)
 	bat := NewBatched(5)
 	r := rng.New(55)
@@ -93,18 +93,32 @@ func TestBatchedMatchesSequentialStructure(t *testing.T) {
 			bat.Insert(cc, keys[i], keys[i])
 		})
 	})
-	sk, bk := seq.Keys(), bat.List().Keys()
-	if len(sk) != len(bk) {
-		t.Fatalf("len %d vs %d", len(sk), len(bk))
+	if seq.level != bat.List().level {
+		t.Fatalf("level %d vs %d", seq.level, bat.List().level)
 	}
-	for i := range sk {
-		if sk[i] != bk[i] {
-			t.Fatalf("key %d: %d vs %d", i, sk[i], bk[i])
+	for lv := 0; lv < seq.level; lv++ {
+		sk, bk := levelKeys(seq, lv), levelKeys(bat.List(), lv)
+		if len(sk) != len(bk) {
+			t.Fatalf("level %d: len %d vs %d", lv, len(sk), len(bk))
+		}
+		for i := range sk {
+			if sk[i] != bk[i] {
+				t.Fatalf("level %d key %d: %d vs %d", lv, i, sk[i], bk[i])
+			}
 		}
 	}
 	if err := bat.List().checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// levelKeys returns the keys linked on level lv, in list order.
+func levelKeys(l *List, lv int) []int64 {
+	var out []int64
+	for x := l.head.next(lv); x != nil; x = x.next(lv) {
+		out = append(out, x.key)
+	}
+	return out
 }
 
 func TestBatchedInsertMany(t *testing.T) {
@@ -206,6 +220,90 @@ func TestBatchedDeleteAdjacentRuns(t *testing.T) {
 	for _, k := range keys {
 		if k >= 100 && k < 400 {
 			t.Fatalf("key %d survived range delete", k)
+		}
+	}
+	if err := b.List().checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBatchedDeleteHeavy(t *testing.T) {
+	// Nine in ten keys go, many of them slab neighbours and many of them
+	// asked for twice in one batch; what is left must still be a
+	// well-formed list with the level count shrunk to fit.
+	b := NewBatched(13)
+	const n = 5000
+	runOn(4, func(c *sched.Ctx) {
+		c.For(0, n, 1, func(cc *sched.Ctx, i int) { b.Insert(cc, int64(i), int64(i)) })
+	})
+	took := make([]bool, 2*n)
+	runOn(8, func(c *sched.Ctx) {
+		c.For(0, 2*n, 1, func(cc *sched.Ctx, i int) {
+			if k := i / 2; k%10 != 0 {
+				took[i] = b.Delete(cc, int64(k))
+			}
+		})
+	})
+	for k := 0; k < n; k++ {
+		// Exactly one of a deleted key's two deletes finds it.
+		if (took[2*k] != took[2*k+1]) != (k%10 != 0) {
+			t.Fatalf("key %d: deletes reported %v and %v", k, took[2*k], took[2*k+1])
+		}
+	}
+	keys := b.List().Keys()
+	if len(keys) != n/10 {
+		t.Fatalf("Len = %d, want %d", len(keys), n/10)
+	}
+	for i, k := range keys {
+		if k != int64(10*i) {
+			t.Fatalf("key %d = %d, want %d", i, k, 10*i)
+		}
+	}
+	if err := b.List().checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunBatchZeroAllocs pins that a warmed-up RunBatch allocates
+// nothing: on a P=4 mixed batch that leaves the list as it found it (a
+// lookup, a successor query, an insert of a present key, a delete of an
+// absent one), and on a reused 100-key OpInsertMany, which forks its
+// search chunks.
+func TestRunBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	b := NewBatched(14)
+	for k := int64(0); k < 1000; k += 2 {
+		b.List().Insert(k, k)
+	}
+	batch := func(recs ...sched.OpRecord) []*sched.OpRecord {
+		ops := make([]*sched.OpRecord, len(recs))
+		for i := range recs {
+			recs[i].DS = b
+			ops[i] = &recs[i]
+		}
+		return ops
+	}
+	many := make([]int64, 100)
+	for i := range many {
+		many[i] = int64(5 * i)
+	}
+	for name, ops := range map[string][]*sched.OpRecord{
+		"P=4 mixed": batch(
+			sched.OpRecord{Kind: OpContains, Key: 10},
+			sched.OpRecord{Kind: OpSucc, Key: 501},
+			sched.OpRecord{Kind: OpInsert, Key: 40, Val: 3},
+			sched.OpRecord{Kind: OpDelete, Key: 41}),
+		"InsertMany": batch(sched.OpRecord{Kind: OpInsertMany, Aux: many, Val: 7}),
+	} {
+		var got float64
+		runOn(1, func(c *sched.Ctx) {
+			b.RunBatch(c, ops) // warm the scratch, the task free list, the keys
+			got = testing.AllocsPerRun(100, func() { b.RunBatch(c, ops) })
+		})
+		if got != 0 {
+			t.Errorf("%s: RunBatch allocates %v objects per batch, want 0", name, got)
 		}
 	}
 	if err := b.List().checkInvariants(); err != nil {

@@ -53,6 +53,10 @@ func FuzzSeqAgainstMap(f *testing.F) {
 // in parallel and checks the final key set.
 func FuzzBatchedParallelInserts(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
+	// Duplicates that meet inside one batch, and inside one search chunk.
+	f.Add([]byte{5, 5, 5, 5, 9, 9, 5, 5})
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add([]byte{0, 255, 0, 255, 128, 128, 1, 254, 1, 254, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 2048 {
 			t.Skip()

@@ -124,19 +124,24 @@ func (c *Ctx) Batchify(op *OpRecord) {
 	// three stores are sequentially consistent, so a launcher (or a
 	// policy scan) that observes the record also observes its stamp,
 	// and one that observes status==pending also observes the record.
-	// For the Lemma 2 gauge the slot also carries the number of batches
-	// landed when the op became pending, read only *after* the publish:
-	// a worker descheduled mid-publish is then never charged landings it
-	// was not pending for. Until that read lands the slot holds MaxInt64,
-	// which a launcher reads as "pending since my own batch".
+	// With a conformance monitor attached, the slot's stamp and its
+	// landed-batch count (the Theorem 5.4 delay and Lemma 2 gauges) are
+	// instead read only *after* the publish: a worker descheduled
+	// mid-publish is then never charged delay or landings it was not
+	// pending for. Until those reads land both hold MaxInt64, which a
+	// launcher reads as "pending since my own batch" and a policy scan
+	// as age 0.
 	slot := &rt.pending[w.id]
-	slot.stamp.Store(now)
 	if rt.conform != nil {
+		slot.stamp.Store(math.MaxInt64)
 		slot.seq.Store(math.MaxInt64)
+	} else {
+		slot.stamp.Store(now)
 	}
 	slot.rec.Store(op)
 	w.status.Store(int32(StatusPending))
 	if rt.conform != nil {
+		slot.stamp.Store(obs.Now())
 		slot.seq.Store(rt.liveBatches.Load())
 	}
 	w.m.OpsSubmitted++
@@ -373,9 +378,11 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 	// Live conformance: feed the envelope monitor before step 4 flips
 	// statuses, while each participant's pending slot still describes
 	// this batch's publish (a worker cannot republish until it observes
-	// done). The slot stamps are written unconditionally by Batchify, so
-	// the monitor needs no phase stamping. Riders have no slot: they
-	// became pending at launch, one landing ago.
+	// done). The slot stamps are Batchify's own, so the monitor needs no
+	// phase stamping; a slot still holding Batchify's MaxInt64 sentinel
+	// drops out of both min()s, i.e. counts as pending since this
+	// launch. Riders have no slot: they became pending at launch, one
+	// landing ago.
 	if m := rt.conform; m != nil {
 		landed := rt.liveBatches.Load() // batches before this one
 		minPending, minSeq := launchNS, landed

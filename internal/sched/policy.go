@@ -126,7 +126,9 @@ func (v PolicyView) OldestPendingNS() int64 {
 			continue
 		}
 		// The stamp is stored before the record (both sequentially
-		// consistent), so a visible record implies a visible stamp.
+		// consistent), so a visible record implies a visible stamp —
+		// the real one, or the MaxInt64 sentinel Batchify holds there
+		// mid-publish while a conformance monitor is attached.
 		if s := v.rt.pending[i].stamp.Load(); oldest == -1 || s < oldest {
 			oldest = s
 		}
@@ -136,7 +138,7 @@ func (v PolicyView) OldestPendingNS() int64 {
 	}
 	age := obs.Now() - oldest
 	if age < 0 {
-		age = 0
+		age = 0 // the sentinel, or a stamp taken after this clock read
 	}
 	return age
 }

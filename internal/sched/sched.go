@@ -198,10 +198,13 @@ type paddedPending struct {
 	// PolicyView.OldestPendingNS without touching the record itself:
 	// records are recycled by their owning workers, so reading
 	// OpRecord fields from another worker's policy scan would race.
+	// While a conformance monitor is attached it also backs the
+	// Theorem 5.4 delay gauge, and is then a MaxInt64 sentinel until
+	// the clock is read after the publish (see Batchify).
 	stamp atomic.Int64
 	// seq is the number of batches that had landed when the record
-	// became pending (see Batchify); it backs the Lemma 2 gauge and is
-	// maintained only while a conformance monitor is attached.
+	// became pending, read after the publish like stamp; it backs the
+	// Lemma 2 gauge and is maintained only while a monitor is attached.
 	seq atomic.Int64
 	_   [cacheLinePad - 24]byte
 }
