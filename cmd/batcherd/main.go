@@ -9,26 +9,26 @@
 //
 //	batcherd serve [-addr :7411] [-shards N] [-workers N] [-window 32] [-queue N]
 //	               [-idle-timeout D] [-write-stall D] [-saturation-timeout D]
-//	               [-slo D] [-admit-interval D]
+//	               [-slo D]
 //	               [-metrics host:9100] [-trace-ring N] [-slow-k K] [-slow-window D]
 //	    Run the server until SIGINT/SIGTERM, then drain gracefully.
 //	    -shards runs N independent scheduler runtimes behind the one
 //	    listener, routing each op by hash(ds, key) (internal/shard);
 //	    the stats document and /metrics then report per shard.
-//	    -slo enables analytical-twin admission control (DESIGN.md §15):
-//	    each shard fits a live service-curve model from its own batch
-//	    histograms and, when the model predicts p999 latency above the
-//	    SLO at the offered rate, sheds the excess at the edge with a
-//	    fast error instead of letting it park. -admit-interval sets the
-//	    sampler period (default 10ms).
+//	    -slo enables admission control (DESIGN.md §15): each shard
+//	    measures its own completion rate and, once more work stands in
+//	    front of it than that rate serves in half the SLO, sheds the
+//	    excess at the edge with a fast error instead of letting it park.
+//	    The bound never exceeds -queue (past the queue the edge parks
+//	    whole connections, which hides demand from the ledger), so size
+//	    -queue to at least rate × SLO/2 or the queue sets the bound.
 //	    -metrics serves an HTTP listener with /metrics (Prometheus text
 //	    format, including the per-phase and batch-delay histograms and
 //	    the live conformance gauges), /slow (the tail flight recorder:
 //	    the K slowest ops per window with full phase vectors, as JSON),
-//	    /debug/admission (the twin-residual summary and the ring of
-//	    recent admission decisions, with -slo), /debug/pprof/* (Go's
-//	    profilers), /debug/rtrace/{start,stop} (on-demand Go runtime
-//	    execution trace), and — with -trace-ring — /trace, a live Chrome
+//	    /debug/pprof/* (Go's profilers), /debug/rtrace/{start,stop}
+//	    (on-demand Go runtime execution trace), and — with
+//	    -trace-ring — /trace, a live Chrome
 //	    trace_event JSON snapshot of the scheduler's event rings (N
 //	    slots per worker), streamed.
 //
@@ -46,11 +46,11 @@
 //
 //	batcherd stats [-addr host:7411]
 //	    Fetch and print the server's stats document: aggregated totals
-//	    (including the admission ledger — offered/shed/SLO/predicted
-//	    p999 — and the live Theorem 5.4 conformance gauges), and — when
-//	    the server runs sharded — a per-shard table (accepted, offered,
-//	    ops/s, shed, batches, mean batch, queue depth, predicted p999,
-//	    headroom, max landings, faults).
+//	    (including the admission ledger — offered/shed/SLO — and the
+//	    live Theorem 5.4 conformance gauges), and — when the server runs
+//	    sharded or with -slo — a per-shard table (accepted, offered,
+//	    ops/s, shed, batches, mean batch, queue depth, admission limit
+//	    and measured rate, headroom, max landings, faults).
 package main
 
 import (
@@ -102,14 +102,13 @@ func serveCmd(args []string) {
 	shards := fs.Int("shards", 1, "independent runtime shards behind the listener (key-hashed routing)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "scheduler workers per shard (P)")
 	window := fs.Int("window", 32, "per-connection in-flight window")
-	queue := fs.Int("queue", 0, "pump ingress queue capacity (0 = 8×P)")
+	queue := fs.Int("queue", 0, "pump ingress queue capacity (0 = 8×P); with -slo also the ceiling of the admission bound")
 	seed := fs.Uint64("seed", 20140623, "seed for the hashed structures")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
 	idle := fs.Duration("idle-timeout", 0, "reap connections idle this long (0 = 2m default, <0 disables)")
 	stall := fs.Duration("write-stall", 0, "break connections whose reads stall a response write this long (0 = 30s default, <0 disables)")
 	saturation := fs.Duration("saturation-timeout", 0, "reject requests parked this long on a saturated queue (0 = 30s default, <0 disables)")
-	slo := fs.Duration("slo", 0, "p999 latency SLO enabling analytical-twin admission control (0 disables; excess load sheds fast at the edge)")
-	admitInterval := fs.Duration("admit-interval", 0, "admission sampler refit period (0 = 10ms default; only with -slo)")
+	slo := fs.Duration("slo", 0, "p999 latency SLO enabling admission control (0 disables; excess load sheds fast at the edge)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /slow, and /debug/pprof on this address; empty disables")
 	traceRing := fs.Int("trace-ring", 0, "scheduler event-ring slots per worker (0 disables tracing; enables /trace with -metrics)")
 	slowK := fs.Int("slow-k", 0, "tail flight recorder: keep the K slowest ops per window (0 = 16 default, <0 disables)")
@@ -136,7 +135,6 @@ func serveCmd(args []string) {
 		WriteStallTimeout: *stall,
 		SaturationTimeout: *saturation,
 		SLO:               *slo,
-		AdmitInterval:     *admitInterval,
 		Policy:            pol,
 		TraceRing:         *traceRing,
 		SlowK:             *slowK,
@@ -153,7 +151,6 @@ func serveCmd(args []string) {
 		mux.Handle("/metrics", s.MetricsHandler())
 		mux.Handle("/trace", s.TraceHandler())
 		mux.Handle("/slow", s.SlowHandler())
-		mux.Handle("/debug/admission", s.AdmissionDebugHandler())
 		// Go's own profilers ride the same listener: CPU/heap/goroutine
 		// profiles under /debug/pprof/, and an on-demand runtime
 		// execution trace under /debug/rtrace/{start,stop} (the
@@ -402,19 +399,20 @@ func printStats(addr string) {
 	if st.AdmitSLONS > 0 {
 		slo = time.Duration(st.AdmitSLONS).String()
 	}
-	fmt.Printf("admit:  offered=%d shed=%d slo=%s predicted_p999=%s twin_residual=%.1f%%\n",
-		st.Offered, st.Shed, slo, time.Duration(st.AdmitPredictedP999NS), st.TwinResidualPct)
+	fmt.Printf("admit:  offered=%d shed=%d slo=%s\n", st.Offered, st.Shed, slo)
 	fmt.Printf("bound:  headroom=%.3f max_landings=%d (Theorem 5.4 envelope; >1 / >2 break the guarantees)\n",
 		st.ConformHeadroom, st.ConformMaxLandings)
-	if len(st.PerShard) > 1 {
-		fmt.Printf("%6s %10s %10s %10s %7s %8s %8s %10s %12s %9s %6s %7s %7s\n",
+	if len(st.PerShard) > 1 || st.AdmitSLONS > 0 {
+		// limit is the admission backlog bound in ops (0 = unlimited) and
+		// rate the measured completion rate it is derived from.
+		fmt.Printf("%6s %10s %10s %10s %7s %8s %8s %10s %7s %9s %9s %6s %7s %7s\n",
 			"shard", "accepted", "offered", "ops/s", "shed", "batches", "mean",
-			"queue", "pred_p999", "headroom", "lands", "failed", "panics")
+			"queue", "limit", "rate/s", "headroom", "lands", "failed", "panics")
 		for _, sh := range st.PerShard {
-			fmt.Printf("%6d %10d %10d %10.0f %7d %8d %8.2f %10d %12s %9.3f %6d %7d %7d\n",
+			fmt.Printf("%6d %10d %10d %10.0f %7d %8d %8.2f %10d %7d %9.0f %9.3f %6d %7d %7d\n",
 				sh.Shard, sh.Accepted, sh.Offered, sh.OpsPerSec, sh.Shed,
 				sh.Batches, sh.MeanBatch, sh.QueueDepth,
-				time.Duration(sh.PredictedP999NS), sh.Conformance.Headroom,
+				sh.AdmitLimit, sh.AdmitRatePerSec, sh.Conformance.Headroom,
 				sh.Conformance.MaxLandings, sh.Failed, sh.BatchPanics)
 		}
 	}

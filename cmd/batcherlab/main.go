@@ -22,11 +22,12 @@
 //	                    # (/slow) and print the K slowest recent ops
 //	batcherlab watch [-addr 127.0.0.1:7411] [-interval 1s] [-once]
 //	                    # live dashboard for a running batcherd: per-shard
-//	                    # ops/s, batching, queue depth, predicted vs
+//	                    # ops/s, batching, queue depth, admission limit,
 //	                    # measured p999, Theorem 5.4 headroom, shed rate
 //	batcherlab twin [-validate] [-tol 0.25] [-record f.json] [-replay f.json]
 //	                [-quick] [-workers N]
-//	                    # calibrate the analytical twin (DESIGN.md §15)
+//	                    # calibrate the analytical twin (an offline
+//	                    # capacity-planning model, DESIGN.md §15)
 //	                    # against a live load sweep — or -replay a
 //	                    # recorded one — and report predicted-vs-measured
 //	                    # p999 per point; -validate gates on the error

@@ -1,7 +1,8 @@
 package main
 
 // batcherlab twin — calibrate and validate the analytical twin
-// (internal/sim.Model, DESIGN.md §15) against a real server.
+// (internal/sim.Model, DESIGN.md §15) against a real server. The twin
+// is an offline capacity-planning tool; batcherd itself does not run it.
 //
 // Live mode starts an in-process batcherd whose hashmap batch cost is
 // inflated to a known constant (as the brownout tests do), so shard
@@ -13,8 +14,8 @@ package main
 // predicted-vs-measured p999 per point.
 //
 // -validate gates on the mean absolute relative error (default 25%) —
-// the twin is only fit to run admission control if its p999 curve
-// tracks a real sweep. -record writes the sweep as JSON so CI can
+// a capacity plan read off the twin is only worth having if its p999
+// curve tracks a real sweep. -record writes the sweep as JSON so CI can
 // -replay the same points hermetically (fit + gate, no server, no
 // timing sensitivity on shared runners).
 

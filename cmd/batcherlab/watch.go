@@ -3,11 +3,9 @@ package main
 // batcherlab watch — a polling terminal dashboard for a running
 // batcherd. Each frame renders one source, the server's live stats
 // document (a DSStats request over the serving port): ops/s, batching,
-// queue depths, admission figures, conformance gauges, and each shard's
-// measured p999. The measured column next to the twin's predicted
-// column is the dashboard's point: the analytical twin and the Theorem
-// 5.4 envelope are live claims, and watch shows whether reality is
-// honoring them right now.
+// queue depths, each shard's admission limit and measured p999, and the
+// conformance gauges. The Theorem 5.4 envelope is a live claim, and
+// watch shows whether reality is honoring it right now.
 
 import (
 	"flag"
@@ -84,11 +82,12 @@ func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64) {
 		time.Now().Format("15:04:05"),
 		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second),
 		st.Conns, st.Policy, slo)
-	fmt.Fprintf(w, "ops/s %.0f  mean_batch %.2f  queue %d  shed/s %.1f  headroom %.3f  max_landings %d  twin_residual %.1f%%\n",
+	fmt.Fprintf(w, "ops/s %.0f  mean_batch %.2f  queue %d  shed/s %.1f  headroom %.3f  max_landings %d\n",
 		opsRate, st.MeanBatch, st.QueueDepth, shedRate,
-		st.ConformHeadroom, st.ConformMaxLandings, st.TwinResidualPct)
-	fmt.Fprintf(w, "%6s %10s %8s %7s %12s %12s %9s %6s %9s\n",
-		"shard", "ops/s", "mean", "queue", "pred_p999", "meas_p999", "headroom", "lands", "shed/s")
+		st.ConformHeadroom, st.ConformMaxLandings)
+	// limit is the admission backlog bound in ops (0 = unlimited).
+	fmt.Fprintf(w, "%6s %10s %8s %7s %7s %12s %9s %6s %9s\n",
+		"shard", "ops/s", "mean", "queue", "limit", "meas_p999", "headroom", "lands", "shed/s")
 	for i, ss := range st.PerShard {
 		shardOps := ss.OpsPerSec
 		shardShed := 0.0
@@ -99,9 +98,9 @@ func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64) {
 			shardOps = float64(ss.Completed-prev.PerShard[i].Completed) / dt
 			shardShed = float64(ss.Shed-prev.PerShard[i].Shed) / dt
 		}
-		fmt.Fprintf(w, "%6d %10.0f %8.2f %7d %12s %12s %9.3f %6d %9.1f\n",
+		fmt.Fprintf(w, "%6d %10.0f %8.2f %7d %7d %12s %9.3f %6d %9.1f\n",
 			ss.Shard, shardOps, ss.MeanBatch, ss.QueueDepth,
-			fmtNS(ss.PredictedP999NS), fmtNS(ss.MeasuredP999NS),
+			ss.AdmitLimit, fmtNS(ss.MeasuredP999NS),
 			ss.Conformance.Headroom, ss.Conformance.MaxLandings, shardShed)
 	}
 }

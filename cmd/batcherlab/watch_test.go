@@ -25,11 +25,10 @@ func TestWatchRenderOnce(t *testing.T) {
 	}{{"admission-on", time.Second}, {"admission-off", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := server.Start(server.Config{
-				Workers:       2,
-				Shards:        2,
-				Seed:          3101,
-				SLO:           tc.slo,
-				AdmitInterval: 10 * time.Millisecond,
+				Workers: 2,
+				Shards:  2,
+				Seed:    3101,
+				SLO:     tc.slo,
 			})
 			if err != nil {
 				t.Fatalf("Start: %v", err)
@@ -51,15 +50,12 @@ func TestWatchRenderOnce(t *testing.T) {
 			if st.Shards != 2 || len(st.PerShard) != 2 {
 				t.Fatalf("stats document: shards=%d per_shard=%d", st.Shards, len(st.PerShard))
 			}
-			// With admission off there is no sampler to realize an interval
-			// p999, so the document must carry the lifetime one instead: a
-			// busy shard never shows an empty measured column.
-			if tc.slo == 0 {
-				for _, ss := range st.PerShard {
-					if ss.Completed > 0 && ss.MeasuredP999NS <= 0 {
-						t.Errorf("shard %d completed %d ops but measured_p999_ns = %d",
-							ss.Shard, ss.Completed, ss.MeasuredP999NS)
-					}
+			// measured_p999_ns has one definition, with admission on or
+			// off: a busy shard never shows an empty measured column.
+			for _, ss := range st.PerShard {
+				if ss.Completed > 0 && ss.MeasuredP999NS <= 0 {
+					t.Errorf("shard %d completed %d ops but measured_p999_ns = %d",
+						ss.Shard, ss.Completed, ss.MeasuredP999NS)
 				}
 			}
 
@@ -71,22 +67,22 @@ func TestWatchRenderOnce(t *testing.T) {
 			// The frame renders the stats document's numbers, not
 			// approximations of them: the global line carries the rollup
 			// gauges verbatim...
-			wantGlobal := fmt.Sprintf("headroom %.3f  max_landings %d  twin_residual %.1f%%",
-				st.ConformHeadroom, st.ConformMaxLandings, st.TwinResidualPct)
+			wantGlobal := fmt.Sprintf("headroom %.3f  max_landings %d\n",
+				st.ConformHeadroom, st.ConformMaxLandings)
 			if !strings.Contains(out, wantGlobal) {
 				t.Errorf("frame missing global gauges %q", wantGlobal)
 			}
-			// ...and each shard's row carries its own headroom, landings,
-			// and predicted/measured p999 columns.
+			// ...and each shard's row carries its own admission limit,
+			// measured p999, headroom and landings columns.
 			for _, ss := range st.PerShard {
-				row := fmt.Sprintf("%12s %12s %9.3f %6d",
-					fmtNS(ss.PredictedP999NS), fmtNS(ss.MeasuredP999NS),
+				row := fmt.Sprintf("%7d %12s %9.3f %6d",
+					ss.AdmitLimit, fmtNS(ss.MeasuredP999NS),
 					ss.Conformance.Headroom, ss.Conformance.MaxLandings)
 				if !strings.Contains(out, row) {
 					t.Errorf("frame missing shard %d columns %q", ss.Shard, row)
 				}
 			}
-			if !strings.Contains(out, "pred_p999") || !strings.Contains(out, "meas_p999") {
+			if !strings.Contains(out, "limit") || !strings.Contains(out, "meas_p999") {
 				t.Error("frame missing the per-shard table header")
 			}
 		})

@@ -5,9 +5,9 @@ package sched
 // launch strategies (immediate, size-capped, deadline-aware)
 // can compete without touching the scheduler's mechanism. The split
 // follows the BatchFormation extraction rule — decisions (when to stop
-// waiting and claim the flag, whether to admit an op) are pluggable;
-// side effects (the flag CAS, LaunchBatch's ack/compact/BOP/done/reset
-// sequence, status flips) stay in the scheduler, because the paper's
+// waiting and claim the flag) are pluggable; side effects (the flag
+// CAS, LaunchBatch's ack/compact/BOP/done/reset sequence, status
+// flips) stay in the scheduler, because the paper's
 // Invariants 1 and 2 and the Theorem 5.4 delay bound are properties of
 // the mechanism, not the policy. A policy can only choose *when* an
 // idle flag is claimed; it cannot add batch landings, oversize a batch,
@@ -144,11 +144,10 @@ func (v PolicyView) OldestPendingNS() int64 {
 }
 
 // BatchPolicy decides whether a trapped worker lingers before it
-// launches a batch, and whether the pump admits new work. Policies
-// must be stateless or internally synchronized: every worker of every
-// runtime sharing the policy value may call these methods
-// concurrently. Implementations must not block, allocate on the
-// ShouldLaunch path, or call back into the runtime.
+// launches a batch. Policies must be stateless or internally
+// synchronized: every worker of every runtime sharing the policy value
+// may call these methods concurrently. Implementations must not block,
+// allocate on the ShouldLaunch path, or call back into the runtime.
 //
 // Liveness contract: ShouldLaunch returning LaunchHold only defers the
 // launch — the scheduler yields and re-checks — and the linger-yield
@@ -175,13 +174,6 @@ type BatchPolicy interface {
 	// scheduler will honor before forcing a LaunchBudget launch. Return
 	// 0 to launch immediately.
 	LingerYields(external bool) int
-	// Admit gates pump admission: depth is the ingress-queue depth a
-	// successful Submit would reach and capacity its configured bound.
-	// Returning false rejects the operation with ErrPumpSaturated
-	// before it is enqueued. The queue-full check is unconditional;
-	// Admit can only tighten it (the seam for tenant-weighted or
-	// predicted-latency admission control).
-	Admit(depth, capacity int) bool
 }
 
 // AlternatingStealPolicy is the default batch-formation policy — the
@@ -201,10 +193,6 @@ func (AlternatingStealPolicy) ShouldLaunch(PolicyView) LaunchReason { return Lau
 
 // LingerYields implements BatchPolicy: no budget — the paper's rule.
 func (AlternatingStealPolicy) LingerYields(bool) int { return 0 }
-
-// Admit implements BatchPolicy: admission is bounded by queue capacity
-// alone.
-func (AlternatingStealPolicy) Admit(depth, capacity int) bool { return true }
 
 // SetPolicy installs (or, with nil, restores the default) batch
 // formation policy. Call only while no Run or Serve is in progress;

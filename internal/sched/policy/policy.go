@@ -69,9 +69,6 @@ func (p SizeCap) ShouldLaunch(v sched.PolicyView) sched.LaunchReason {
 // LingerYields implements sched.BatchPolicy.
 func (SizeCap) LingerYields(bool) int { return sizeCapYields }
 
-// Admit implements sched.BatchPolicy.
-func (SizeCap) Admit(depth, capacity int) bool { return true }
-
 // Deadline is a bounded batch window: a trapped worker holds the
 // launch — even with an empty ingress queue, since more requests may
 // be in flight on the wire — until the batch is full or the oldest
@@ -121,9 +118,6 @@ func (p Deadline) ShouldLaunch(v sched.PolicyView) sched.LaunchReason {
 // LingerYields implements sched.BatchPolicy: the window needs enough
 // yields to span Budget on every path.
 func (p Deadline) LingerYields(bool) int { return p.yields() }
-
-// Admit implements sched.BatchPolicy.
-func (Deadline) Admit(depth, capacity int) bool { return true }
 
 // ByName resolves a policy wire name (the batcherd -policy flag and the
 // CI matrix env var) to a policy value. k parameterizes size-cap and

@@ -7,7 +7,6 @@ package policy_test
 // exercises exactly what a third-party policy could.
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,55 +227,6 @@ func TestSizeCapLaunchesAtThreshold(t *testing.T) {
 	reasons := rt.LaunchReasons()
 	if n := reasons[sched.LaunchSizeCap] + reasons[sched.LaunchFull]; n < 1 {
 		t.Fatalf("size-cap/full launches = %d, want >= 1 (reasons %v)", n, reasons)
-	}
-}
-
-// capAdmit is a test-only policy proving the admission seam: it defers
-// every launch decision to the default policy but refuses admission
-// beyond half the queue capacity.
-type capAdmit struct{ sched.AlternatingStealPolicy }
-
-func (capAdmit) Name() string { return "cap-admit" }
-func (capAdmit) Admit(depth, capacity int) bool {
-	return depth <= capacity/2
-}
-
-// TestPolicyAdmissionHook verifies Submit consults the policy's Admit:
-// with a policy admitting only half the queue, Submit must start
-// returning ErrPumpSaturated at half capacity even though the queue
-// itself still has room.
-func TestPolicyAdmissionHook(t *testing.T) {
-	rt := sched.New(sched.Config{Workers: 2, Seed: 704, Policy: capAdmit{}})
-	p := sched.NewPump(rt, sched.PumpConfig{QueueCap: 8})
-	ds := &sumDS{}
-	recs := make([]sched.OpRecord, 8)
-	admitted := 0
-	var firstErr error
-	for i := range recs {
-		recs[i] = sched.OpRecord{DS: ds, Val: 1}
-		if err := p.Submit(&recs[i]); err != nil {
-			firstErr = err
-			break
-		}
-		admitted++
-	}
-	if admitted != 4 {
-		t.Fatalf("admitted %d ops, want 4 (half of QueueCap 8)", admitted)
-	}
-	if !errors.Is(firstErr, sched.ErrPumpSaturated) {
-		t.Fatalf("rejection error = %v, want ErrPumpSaturated", firstErr)
-	}
-	// SubmitAll must truncate to the same prefix.
-	p2 := sched.NewPump(rt, sched.PumpConfig{QueueCap: 8})
-	ptrs := make([]*sched.OpRecord, 8)
-	bulk := make([]sched.OpRecord, 8)
-	for i := range bulk {
-		bulk[i] = sched.OpRecord{DS: ds, Val: 1}
-		ptrs[i] = &bulk[i]
-	}
-	n, err := p2.SubmitAll(ptrs)
-	if n != 4 || !errors.Is(err, sched.ErrPumpSaturated) {
-		t.Fatalf("SubmitAll = (%d, %v), want (4, ErrPumpSaturated)", n, err)
 	}
 }
 

@@ -91,6 +91,10 @@ func NewPump(rt *Runtime, cfg PumpConfig) *Pump {
 // Runtime returns the runtime this pump serves on.
 func (p *Pump) Runtime() *Runtime { return p.rt }
 
+// Cap returns the ingress queue's bound (PumpConfig.QueueCap after the
+// 8×P default is applied).
+func (p *Pump) Cap() int { return p.cfg.QueueCap }
+
 // Submit enqueues op for implicit batching and returns immediately; the
 // result arrives via PumpConfig.OnDone. It never blocks: when the pump
 // is saturated or closed it returns an error and the record is
@@ -108,11 +112,8 @@ func (p *Pump) Submit(op *OpRecord) error {
 		}
 		return ErrPumpClosed
 	}
-	// Capacity first, then the policy's admission hook: the policy can
-	// tighten admission (tenant weighting, predicted-latency shedding)
-	// but never loosen the queue bound.
 	depth := len(p.q) - p.head
-	if depth >= p.cfg.QueueCap || !p.rt.policy.Admit(depth+1, p.cfg.QueueCap) {
+	if depth >= p.cfg.QueueCap {
 		p.mu.Unlock()
 		if tr := p.rt.tracer; tr != nil {
 			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 1, 0)
@@ -172,18 +173,6 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 	n = len(ops)
 	if n > free {
 		n = free
-	}
-	// The policy's admission hook sees the depth each op would reach;
-	// the first refusal truncates the admitted prefix (admission stays
-	// a prefix either way, which is the SubmitAll contract). The
-	// default policy admits everything — skip the per-op calls.
-	if _, isDefault := p.rt.policy.(AlternatingStealPolicy); !isDefault {
-		for i := 0; i < n; i++ {
-			if !p.rt.policy.Admit(len(p.q)-p.head+i+1, p.cfg.QueueCap) {
-				n = i
-				break
-			}
-		}
 	}
 	for _, op := range ops[:n] {
 		if p.rt.stampPhases {

@@ -1,375 +1,125 @@
 package server
 
-// The live half of analytical-twin admission control (DESIGN.md §15).
-// A single sampler goroutine ticks every Config.AdmitInterval and, per
-// shard: measures the offered arrival rate from the edge ledger,
-// refits that shard's service curve s(b) = s0 + s1·b from the deltas
-// of the histograms the serving path already maintains (batch sizes
-// from LiveBatchStats, batch service time from the exec-phase
-// histogram), asks the fitted sim.Model for the p999 it predicts at
-// the observed rate and current backlog, and — when the prediction
-// exceeds the SLO — inverts the model (MaxAdmissibleRate) into next
-// tick's credit budget for the shard's AdmissionController. The edge
-// then sheds the excess with a fast FlagErr in classify, and the
-// Shed-wrapped policy's Admit high-water mark catches anything that
-// slipped through inside the tick.
-//
-// Everything here reads counters the hot path maintains anyway; the
-// hot path never waits on the sampler.
+// Admission control as a measured backlog bound (DESIGN.md §15).
+// Invariant 1 makes a shard a single server — one batch at a time — so
+// an operation admitted behind B standing operations waits about B/μ,
+// where μ is the shard's completion rate while work stands. Both are
+// counts the serving path already keeps: B is the edge ledger below, μ
+// is the shard books' completed count differenced over a tick. The
+// sampler publishes limit = μ·SLO/2 per shard and classify sheds, with
+// a fast FlagErr, any operation that would stand deeper than that. The
+// hot path reads two counters and never waits on the sampler.
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"batcher/internal/obs"
-	"batcher/internal/sim"
 )
 
 // edgeCounters is one shard's edge ledger, complementing the shard's
 // pump books so every routed operation is accounted for exactly once:
-// offered == completed + shed + rejected + abandoned after a drain
-// (shed lives on the shard's AdmissionController).
+// offered == completed + shed + rejected + abandoned after a drain.
+// limit and rate are the admission sampler's published operands; they
+// sit with the ledger because classify reads limit right after it
+// counts offered.
 type edgeCounters struct {
 	offered   atomic.Int64 // valid ops routed to this shard at decode
+	shed      atomic.Int64 // answered FlagErr by the backlog bound
 	rejected  atomic.Int64 // answered FlagErr without a pump (saturation cap, shutdown)
 	abandoned atomic.Int64 // retired without a response (conn died pre-pump)
+
+	limit atomic.Int64  // backlog bound in ops; 0 = unlimited (SLO off, or nothing measured yet)
+	rate  atomic.Uint64 // math.Float64bits of μ, completions per second
 }
 
-// liveTail is the tail multiplier the live twin runs with: the fitted
-// mean-delay model times liveTail stands in for p999. Offline
-// calibration (FitModel) fits Tail from a measured sweep; live we
-// prefer a fixed conservative constant over fitting against our own
-// under-load tail, which would be circular while shedding.
-const liveTail = 2.0
+const (
+	// admitInterval is the sampler's tick: long enough that a shard
+	// completes several batches in it, short next to any SLO worth
+	// setting.
+	admitInterval = 10 * time.Millisecond
+	// admitSafety divides the bound: an operation admitted at the limit
+	// waits about SLO/admitSafety, and the other half absorbs μ's
+	// sampling noise and the operation's own ≤ 2 landings (Lemma 2).
+	admitSafety = 2
+	// admitAlpha is the EWMA weight of a capacity sample: one tick's
+	// completion count is quantised to whole batches, and 0.3 settles
+	// within ~5 ticks of a real change while flattening that.
+	admitAlpha = 0.3
+)
 
-// capFrac caps the admitted rate at this fraction of the twin's
-// modeled capacity even when the SLO math would allow more: running
-// the M/D/1 curve at ρ→1 has unbounded variance, and a controller that
-// admits exactly capacity never drains the backlog that made it limit.
-const capFrac = 0.9
-
-// admitState is the sampler's per-shard delta memory between ticks.
-type admitState struct {
-	fitter    sim.Fitter
-	rate      float64 // EWMA of the offered arrival rate (ops/sec)
-	offered   int64
-	batches   int64
-	ops       int64
-	execCount int64
-	execSum   int64
-	// cursor tracks the shard's end-to-end latency histogram so each
-	// tick can read the p999 realized *during that tick* (the delta
-	// quantile); lastPred is the prediction the twin made at the
-	// previous tick — the forecast that delta realizes or refutes — or
-	// 0 when that tick was limiting (a shedding tick's forecast prices
-	// load that never ran, so it is not pairable).
-	cursor   obs.HistCursor
-	lastPred int64
+// backlog returns shard i's standing operations: offered and not yet
+// answered — the pump queue, the pending array, the running batch and
+// operations parked at the edge on a full queue.
+func (s *Server) backlog(i int) int64 {
+	e := &s.edge[i]
+	_, completed, _ := s.router.Shard(i).Books()
+	return e.offered.Load() - completed - e.shed.Load() - e.rejected.Load() - e.abandoned.Load()
 }
 
-// residAlpha is the EWMA weight of the rolling twin-residual gauge. A
-// single tick's p999 is a noisy order statistic, so the gauge rolls
-// ~20 ticks (~200ms at the default interval) of absolute percent
-// errors rather than reporting the last one raw.
-const residAlpha = 0.1
-
-// twinShardStats is one shard's twin-accuracy telemetry, written by
-// the sampler and read by scrapes (/metrics, /stats, /debug/admission).
-type twinShardStats struct {
-	resid    atomic.Uint64 // math.Float64bits of the rolling MAPE (percent)
-	samples  atomic.Int64  // residual observations folded into the gauge
-	realized atomic.Int64  // last realized per-tick p999, ns
-}
-
-// residualPct returns the rolling mean absolute percent error of the
-// twin's p999 predictions, 0 until the first paired observation.
-func (t *twinShardStats) residualPct() float64 {
-	return math.Float64frombits(t.resid.Load())
-}
-
-// observe folds one |predicted-realized|/realized sample into the
-// rolling gauge. Sampler-only writer; scrapes read concurrently.
-func (t *twinShardStats) observe(pct float64) {
-	if t.samples.Add(1) == 1 {
-		t.resid.Store(math.Float64bits(pct))
-		return
+// admitRate is the sampler step: μ after a tick that measured sample
+// completions per second. A tick that began and ended with a full
+// batch's worth of work standing kept the shard busy throughout, so
+// its sample is the capacity and moves μ by admitAlpha of the error;
+// any other tick may have idled, so its sample is only a lower bound.
+func admitRate(mu float64, prevBusy bool, sample float64, busy bool) float64 {
+	if prevBusy && busy {
+		return mu + admitAlpha*(sample-mu)
 	}
-	mean := math.Float64frombits(t.resid.Load())
-	mean += residAlpha * (pct - mean)
-	t.resid.Store(math.Float64bits(mean))
+	return math.Max(mu, sample)
 }
 
-// AdmissionDecision is one sampler tick's verdict for one shard, kept
-// in the /debug/admission flight ring: what the twin predicted, what
-// the shard realized, and what the controller did about it.
-type AdmissionDecision struct {
-	// WhenNS is the tick time, obs.Now nanoseconds (monotonic since
-	// process start — ages, not wall-clock times).
-	WhenNS int64 `json:"when_ns"`
-	Shard  int   `json:"shard"`
-	// PredictedNS is the twin's p999 forecast made at this tick;
-	// RealizedNS the p999 measured over the interval that just ended
-	// (0 when no ops completed); ResidualPct the rolling MAPE gauge
-	// after folding this tick's pairing in.
-	PredictedNS int64   `json:"predicted_p999_ns"`
-	RealizedNS  int64   `json:"realized_p999_ns"`
-	ResidualPct float64 `json:"residual_pct"`
-	// RatePerSec is the EWMA offered arrival rate the prediction used;
-	// Backlog the standing unanswered-op count.
-	RatePerSec float64 `json:"offered_rate_per_sec"`
-	Backlog    int     `json:"backlog"`
-	// Limiting reports whether the controller granted a bounded credit
-	// budget this tick (Credits; 0 means unlimited), and ShedTotal the
-	// shard's lifetime edge-shed count after the tick.
-	Limiting  bool  `json:"limiting"`
-	Credits   int64 `json:"granted_credits"`
-	ShedTotal int64 `json:"shed_total"`
-}
-
-// admitLogCap bounds the /debug/admission ring: at the default 10ms
-// tick, 512 entries hold the last ~5s of decisions for one shard (and
-// proportionally less wall time with more shards — the ring is
-// process-wide, entries carry their shard).
-const admitLogCap = 512
-
-// admitLog is the flight-recorder-style ring of recent admission
-// decisions. The sampler appends; the debug handler snapshots.
-type admitLog struct {
-	mu   sync.Mutex
-	buf  []AdmissionDecision
-	next int
-	full bool
-}
-
-func newAdmitLog(cap int) *admitLog {
-	return &admitLog{buf: make([]AdmissionDecision, cap)}
-}
-
-func (l *admitLog) add(d AdmissionDecision) {
-	l.mu.Lock()
-	l.buf[l.next] = d
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
+// admitLimit converts μ into the backlog bound. It is unlimited (0)
+// until a completion has been measured; never below workers, so the
+// shard can always form one full batch and keep measuring; and never
+// above queueCap, because past the pump's queue an operation parks its
+// whole connection at the edge and the frames behind it wait unread in
+// the socket, where the ledger cannot see them.
+func admitLimit(mu float64, slo time.Duration, workers, queueCap int) int64 {
+	if mu <= 0 {
+		return 0
 	}
-	l.mu.Unlock()
+	limit := int64(mu * slo.Seconds() / admitSafety)
+	return min(max(limit, int64(workers)), int64(queueCap))
 }
-
-// snapshot returns the recorded decisions, newest first.
-func (l *admitLog) snapshot() []AdmissionDecision {
-	l.mu.Lock()
-	n := l.next
-	if l.full {
-		n = len(l.buf)
-	}
-	out := make([]AdmissionDecision, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, l.buf[(l.next-i+len(l.buf))%len(l.buf)])
-	}
-	l.mu.Unlock()
-	return out
-}
-
-// rateAlpha is the EWMA weight for the offered-rate estimate. One
-// AdmitInterval is too short a window to read a rate from — a tick
-// catches 0 or 3 ops of a perfectly steady stream and the M/D/1 curve
-// is steep near saturation, so acting on instantaneous rates sheds on
-// noise. α=0.3 settles within ~5 ticks of a real load change while
-// flattening single-tick bursts.
-const rateAlpha = 0.3
 
 // runAdmission is the sampler goroutine; one per server, started by
 // Start when Config.SLO > 0, exits when Shutdown begins.
 func (s *Server) runAdmission() {
-	tick := time.NewTicker(s.cfg.AdmitInterval)
+	type shardState struct {
+		mu        float64
+		completed int64
+		busy      bool
+	}
+	states := make([]shardState, s.router.N())
+	tick := time.NewTicker(admitInterval)
 	defer tick.Stop()
-	states := make([]admitState, s.router.N())
+	last := time.Now()
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-tick.C:
-			for i := range states {
-				s.admitTick(i, &states[i])
-			}
+		}
+		// Divide by the time that passed, not the nominal tick: a late
+		// wake-up on a busy host would otherwise read as a faster shard.
+		// The tick after a late one arrives early; fold it into the next
+		// rather than read a rate off a sliver of time.
+		now := time.Now()
+		elapsed := now.Sub(last).Seconds()
+		if elapsed < admitInterval.Seconds()/2 {
+			continue
+		}
+		last = now
+		for i := range states {
+			st, sh, e := &states[i], s.router.Shard(i), &s.edge[i]
+			workers := sh.Runtime().Workers()
+			_, completed, _ := sh.Books()
+			busy := s.backlog(i) >= int64(workers)
+			sample := float64(completed-st.completed) / elapsed
+			st.mu = admitRate(st.mu, st.busy, sample, busy)
+			st.completed, st.busy = completed, busy
+			e.rate.Store(math.Float64bits(st.mu))
+			e.limit.Store(admitLimit(st.mu, s.cfg.SLO, workers, sh.Pump().Cap()))
 		}
 	}
-}
-
-// admitTick refits shard i's twin from this tick's histogram deltas
-// and installs the next credit budget.
-func (s *Server) admitTick(i int, st *admitState) {
-	ctrl := s.admission[i]
-	sh := s.router.Shard(i)
-
-	// Offered arrival rate over the last interval — measured at decode,
-	// before any shedding, so it tracks true demand even while limiting.
-	offered := s.edge[i].offered.Load()
-	dOffered := offered - st.offered
-	st.offered = offered
-	inst := float64(dOffered) / s.cfg.AdmitInterval.Seconds()
-	st.rate += rateAlpha * (inst - st.rate)
-	rate := st.rate
-
-	// Twin residual: pair the prediction made at the *previous* tick —
-	// the forecast for the interval that just ended — against the p999
-	// realized over exactly that interval (the end-to-end histogram's
-	// delta quantile). A lifetime quantile would smear every past
-	// regime into the comparison; the delta isolates this tick.
-	tw := &s.twin[i]
-	realized, haveReal := s.shardM[i].totalHist.DeltaQuantile(0.999, &st.cursor)
-	if haveReal {
-		tw.realized.Store(realized)
-		if st.lastPred > 0 && realized > 0 {
-			tw.observe(100 * math.Abs(float64(st.lastPred)-float64(realized)) / float64(realized))
-		}
-	}
-
-	// Service-curve sample: mean batch size and mean exec-phase
-	// duration over the interval's completions.
-	batches, ops := sh.Runtime().LiveBatchStats()
-	exec := s.shardM[i].phaseHist[obs.PhaseLaunch]
-	execCount, execSum := exec.Count(), exec.Sum()
-	if db := batches - st.batches; db > 0 && execCount > st.execCount {
-		meanBatch := float64(ops-st.ops) / float64(db)
-		meanExec := float64(execSum-st.execSum) / float64(execCount-st.execCount)
-		st.fitter.Add(meanBatch, meanExec)
-	}
-	st.batches, st.ops = batches, ops
-	st.execCount, st.execSum = execCount, execSum
-
-	var (
-		pred     float64
-		backlog  int
-		credits  int64
-		limiting bool
-	)
-	if s0, s1, ok := st.fitter.Params(); !ok {
-		// Cold start: no trustworthy curve yet, admit everything. The
-		// SaturationTimeout backstop still applies.
-		ctrl.SetPredicted(0)
-		ctrl.Refill(0, false)
-	} else {
-		model := sim.Model{
-			Workers: sh.Runtime().Workers(),
-			SetupNS: s0, PerOpNS: s1,
-			Tail: liveTail,
-		}
-		// Standing backlog: every op offered to this shard and not yet
-		// answered — the pump queue, the pending array, AND the ops parked
-		// at the edge on a full queue. Counting only the pump depth would
-		// blind the twin to saturation parks, which are exactly the
-		// latency it exists to predict (a parked op drains through the
-		// same service curve, it just waits at the door first).
-		_, comp, _ := sh.Books()
-		backlog = int(offered - comp - ctrl.Shed() -
-			s.edge[i].rejected.Load() - s.edge[i].abandoned.Load())
-		if backlog < 0 {
-			backlog = 0
-		}
-		pred = model.PredictP999NS(rate, backlog)
-		if pred > float64(1<<62) { // +Inf past capacity: clamp for the gauge
-			pred = float64(1 << 62)
-		}
-		ctrl.SetPredicted(int64(pred))
-		if pred <= float64(ctrl.SLO()) {
-			ctrl.Refill(0, false)
-		} else {
-			// Over SLO: invert the curve into the largest sustainable rate
-			// and grant exactly one tick's worth of it.
-			target := model.MaxAdmissibleRate(float64(ctrl.SLO()), backlog)
-			if max := capFrac * model.CapacityOpsPerSec(); target > max {
-				target = max
-			}
-			credits = int64(target * s.cfg.AdmitInterval.Seconds())
-			// Floor at one batch row: starving the shard entirely would
-			// stop the completions that refit the twin and end the
-			// brownout.
-			if min := int64(model.Workers); credits < min {
-				credits = min
-			}
-			limiting = true
-			ctrl.Refill(credits, true)
-		}
-	}
-	// Only non-limiting predictions are pairable for the residual: a
-	// limiting tick's prediction prices the load it is about to shed —
-	// a counterfactual the realized histogram (of admitted ops only)
-	// never tests, and near capacity it is the clamped +Inf sentinel,
-	// which would blow the MAPE into the trillions of percent.
-	if limiting {
-		st.lastPred = 0
-	} else {
-		st.lastPred = int64(pred)
-	}
-	s.admitLog.add(AdmissionDecision{
-		WhenNS:      obs.Now(),
-		Shard:       i,
-		PredictedNS: int64(pred),
-		RealizedNS:  realized,
-		ResidualPct: tw.residualPct(),
-		RatePerSec:  rate,
-		Backlog:     backlog,
-		Limiting:    limiting,
-		Credits:     credits,
-		ShedTotal:   ctrl.Shed(),
-	})
-}
-
-// admissionDebug is the /debug/admission JSON document.
-type admissionDebug struct {
-	Enabled   bool                `json:"enabled"`
-	SLONS     int64               `json:"slo_ns"`
-	PerShard  []admissionShard    `json:"per_shard"`
-	Decisions []AdmissionDecision `json:"decisions"`
-}
-
-// admissionShard is one shard's twin-accuracy summary in the debug
-// document.
-type admissionShard struct {
-	Shard           int     `json:"shard"`
-	PredictedP999NS int64   `json:"predicted_p999_ns"`
-	RealizedP999NS  int64   `json:"realized_p999_ns"`
-	ResidualPct     float64 `json:"residual_pct"`
-	ResidualSamples int64   `json:"residual_samples"`
-	ShedTotal       int64   `json:"shed_total"`
-}
-
-// AdmissionDebugHandler returns the /debug/admission handler: the
-// per-shard twin-accuracy summary plus the recent-decision ring,
-// newest first. 404 when admission control is off (no sampler, so
-// nothing to report).
-func (s *Server) AdmissionDebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if s.admission == nil {
-			http.Error(w, "admission control disabled (start with -slo)", http.StatusNotFound)
-			return
-		}
-		doc := admissionDebug{
-			Enabled:   true,
-			SLONS:     s.cfg.SLO.Nanoseconds(),
-			PerShard:  make([]admissionShard, len(s.admission)),
-			Decisions: s.admitLog.snapshot(),
-		}
-		for i := range doc.PerShard {
-			tw := &s.twin[i]
-			doc.PerShard[i] = admissionShard{
-				Shard:           i,
-				PredictedP999NS: s.admission[i].Predicted(),
-				RealizedP999NS:  tw.realized.Load(),
-				ResidualPct:     tw.residualPct(),
-				ResidualSamples: tw.samples.Load(),
-				ShedTotal:       s.admission[i].Shed(),
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
 }

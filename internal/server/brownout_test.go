@@ -1,21 +1,21 @@
 package server_test
 
-// The brownout chaos witness for analytical-twin admission control
-// (DESIGN.md §15). The scenario the twin exists for: offered load far
-// past capacity must degrade gracefully — excess operations get a fast
+// The brownout chaos witness for admission control (DESIGN.md §15).
+// The scenario the backlog bound exists for: offered load far past
+// capacity must degrade gracefully — excess operations get a fast
 // FlagErr at the edge (a quick "no" from a healthy server), accepted
-// operations keep meeting the latency SLO, every shard's books balance
-// to the op, and the drain stays clean. Without admission control the
-// same overload collapses into saturation parks that burn their whole
-// timeout to answer the same "no".
+// operations keep meeting the latency SLO, the shard keeps serving at
+// capacity, every shard's books balance to the op, and the drain stays
+// clean. Without admission control the same overload collapses into
+// saturation parks that burn their whole timeout to answer the same
+// "no". Below capacity, and once an overload has ended, nothing sheds.
 //
 // Capacity is made deliberately tiny and known: slowBatched adds a
-// fixed sleep to every hashmap batch, so a shard's service curve is
-// dominated by a cost the live fitter can actually recover, and "10×
-// capacity" is a few thousand ops/s — reachable by the loadgen even on
-// one CPU under -race. The CI brownout job runs this file across the
-// policy matrix (BATCHERD_POLICY), proving the Shed wrapper preserves
-// every inner policy's guarantees.
+// fixed sleep to every hashmap batch, so "10× capacity" is a few
+// thousand ops/s — reachable by the loadgen even on one CPU under
+// -race. The CI brownout job runs this file across the policy matrix
+// (BATCHERD_POLICY): the bound sits at the edge, in front of whatever
+// policy forms the batches.
 
 import (
 	"testing"
@@ -39,19 +39,23 @@ func (s *slowBatched) RunBatch(ctx *sched.Ctx, ops []*sched.OpRecord) {
 	s.inner.RunBatch(ctx, ops)
 }
 
+const (
+	brownoutWorkers  = 2
+	brownoutQueueCap = 128
+)
+
 // brownoutServer starts a 2-worker sharded server with admission
 // control and the slow hashmap installed on every shard.
 func brownoutServer(t *testing.T, shards int, slo, batchCost time.Duration) *server.Server {
 	t.Helper()
 	s, err := server.Start(server.Config{
-		Workers:       2,
-		Shards:        shards,
-		Seed:          1009,
-		QueueCap:      128,
-		Window:        256,
-		Policy:        testPolicy(t),
-		SLO:           slo,
-		AdmitInterval: 10 * time.Millisecond,
+		Workers:  brownoutWorkers,
+		Shards:   shards,
+		Seed:     1009,
+		QueueCap: brownoutQueueCap,
+		Window:   256,
+		Policy:   testPolicy(t),
+		SLO:      slo,
 		WrapDS: func(_ int, ds uint8, b sched.Batched) sched.Batched {
 			if ds == server.DSHashmap {
 				return &slowBatched{inner: b, delay: batchCost}
@@ -86,18 +90,19 @@ func auditBrownoutBooks(t *testing.T, st server.Stats) {
 }
 
 // TestBrownoutGracefulShed is the 10× overload witness. Phase one
-// (closed-loop, moderate) primes each shard's fitter with real batch
-// samples; phase two offers roughly ten times the modeled capacity
-// open-loop. With admission control on, the overload must brown out:
-// a substantial shed count, shed responses fast (they never touch a
-// pump), accepted responses within the SLO, books balanced per shard,
-// clean drain.
+// (open-loop, well under capacity) gives each shard's sampler its first
+// completions and must shed nothing; phase two offers more than ten
+// times the capacity open-loop. With admission control on, the overload
+// must brown out: a substantial shed count, shed responses fast (they
+// never touch a pump), accepted responses within the SLO, goodput near
+// capacity, books balanced per shard, clean drain.
 func TestBrownoutGracefulShed(t *testing.T) {
 	const (
 		slo       = 1 * time.Second
 		batchCost = 5 * time.Millisecond
 	)
-	// Capacity ≈ shards × workers/batchCost = 2 × 2/5ms = 800 ops/s.
+	// Capacity ≈ shards × workers/batch time ≈ 2 × 2/6.5ms ≈ 600 ops/s
+	// (a 5ms time.Sleep costs ~6.5ms here).
 	overloadRate := 8000.0
 	overloadOps := 2200 // per conn, 8 conns: ~2.2s of offered overload
 	if testing.Short() {
@@ -107,14 +112,9 @@ func TestBrownoutGracefulShed(t *testing.T) {
 	defer s.Shutdown()
 	addr := s.Addr().String()
 
-	// Warm-up: enough completions for every shard's fitter (uniform
-	// keys reach both shards) while staying well under capacity. It
-	// must be open-loop at an explicit modest rate: a closed-loop
-	// warm-up self-paces to the server's completion rate, i.e. ρ≈1,
-	// which the twin rightly prices as unsustainable. Note the fitted
-	// capacity here is conservative — warm-up batches carry one op, so
-	// the proportional curve s(b) = 5ms·b undersells the flat 5ms
-	// batch cost until overload-sized batches teach the fitter better.
+	// Warm-up: completions on every shard (uniform keys reach both)
+	// while staying well under capacity, so each sampler has left its
+	// cold start and publishes a bound before the overload arrives.
 	warm, err := loadgen.Run(loadgen.Workload{
 		Addr: addr, Conns: 2, Ops: 40, RatePerSec: 150,
 		DS: server.DSHashmap, KeySpace: 1 << 12, Seed: 1010,
@@ -126,10 +126,9 @@ func TestBrownoutGracefulShed(t *testing.T) {
 		t.Fatalf("warm-up shed %d ops well under capacity", warm.Errors)
 	}
 
-	// Poll the stats document during the overload: the predicted-p999
-	// gauge is a live signal (it reads near zero again once the load
-	// drains), so the assertion must catch it mid-brownout.
-	var maxPred int64
+	// Poll the stats document during the overload: every shard must be
+	// seen running under a bound inside [Workers, QueueCap].
+	bounded := make([]bool, 2)
 	pollStop := make(chan struct{})
 	pollDone := make(chan struct{})
 	go func() {
@@ -141,8 +140,10 @@ func TestBrownoutGracefulShed(t *testing.T) {
 			case <-pollStop:
 				return
 			case <-tick.C:
-				if p := s.Snapshot().AdmitPredictedP999NS; p > maxPred {
-					maxPred = p
+				for i, ss := range s.Snapshot().PerShard {
+					if ss.AdmitLimit >= brownoutWorkers && ss.AdmitLimit <= brownoutQueueCap {
+						bounded[i] = true
+					}
 				}
 			}
 		}
@@ -163,9 +164,15 @@ func TestBrownoutGracefulShed(t *testing.T) {
 	if res.Errors < res.Sent/4 {
 		t.Fatalf("only %d/%d overload ops shed; admission control did not engage", res.Errors, res.Sent)
 	}
-	// ...while the server still does real work.
-	if served := res.Responses - res.Errors; served < 100 {
-		t.Fatalf("only %d ops served during overload", served)
+	// ...while the server keeps serving near capacity: ~600 ops/s over
+	// the ~3.5s the overload and its drain last is ~2000 ops, so a bound
+	// that sheds twice what it must fails here.
+	minServed := int64(1500)
+	if testing.Short() {
+		minServed = 100 // the short overload lasts under a second
+	}
+	if served := res.Responses - res.Errors; served < minServed {
+		t.Fatalf("only %d ops served during overload, want >= %d", served, minServed)
 	}
 	// Shed ops answer fast: an edge FlagErr never waits on a pump, so
 	// even its tail stays far inside the SLO.
@@ -175,8 +182,8 @@ func TestBrownoutGracefulShed(t *testing.T) {
 	if p99 := time.Duration(res.ErrLatency.Quantile(0.99)); p99 > slo/4 {
 		t.Errorf("shed p99 = %v, want < %v (fast error, not a stalled park)", p99, slo/4)
 	}
-	// Accepted ops keep the SLO: the twin only admits what it predicts
-	// the shard can serve inside it.
+	// Accepted ops keep the SLO: the bound only admits what the shard's
+	// measured rate serves inside it.
 	if res.P999 > slo {
 		t.Errorf("accepted-op p999 = %v exceeds SLO %v", res.P999, slo)
 	}
@@ -184,10 +191,9 @@ func TestBrownoutGracefulShed(t *testing.T) {
 	s.Shutdown()
 	st := s.Snapshot()
 	auditBrownoutBooks(t, st)
-	t.Logf("brownout: offered=%d served=%d shed=%d rejected=%d shed-p99=%v ok-p999=%v worst-predicted=%v slo=%v",
+	t.Logf("brownout: offered=%d served=%d shed=%d rejected=%d shed-p99=%v ok-p999=%v slo=%v",
 		st.Offered, res.Responses-res.Errors, st.Shed, st.Rejected,
-		time.Duration(res.ErrLatency.Quantile(0.99)), res.P999,
-		time.Duration(maxPred), slo)
+		time.Duration(res.ErrLatency.Quantile(0.99)), res.P999, slo)
 	if st.Shed == 0 {
 		t.Fatal("stats report zero sheds after a shedding run")
 	}
@@ -197,19 +203,71 @@ func TestBrownoutGracefulShed(t *testing.T) {
 	if st.AdmitSLONS != slo.Nanoseconds() {
 		t.Errorf("AdmitSLONS = %d, want %d", st.AdmitSLONS, slo.Nanoseconds())
 	}
-	if maxPred <= slo.Nanoseconds() {
-		t.Errorf("worst predicted p999 %d never exceeded the SLO %d during a 10x overload",
-			maxPred, slo.Nanoseconds())
+	for i, ok := range bounded {
+		if !ok {
+			t.Errorf("shard %d never reported admit_limit in [%d, %d] during the overload",
+				i, brownoutWorkers, brownoutQueueCap)
+		}
 	}
 	if st.Offered != warm.Sent+res.Sent {
 		t.Errorf("offered %d != total sent %d", st.Offered, warm.Sent+res.Sent)
 	}
 }
 
+// TestBrownoutNoShedBelowCapacity pins the other half of the contract:
+// the bound sheds only what the shard cannot serve inside the SLO. At
+// ~70% of capacity nothing sheds; a 10× overload then browns out inside
+// the SLO; and once it has ended the same 70% load sheds nothing again
+// — the bound compares standing work, so it disarms as the backlog
+// drains instead of waiting for a forecast to recover.
+func TestBrownoutNoShedBelowCapacity(t *testing.T) {
+	const slo = 200 * time.Millisecond
+	s := brownoutServer(t, 2, slo, 5*time.Millisecond)
+	defer s.Shutdown()
+	run := func(seed uint64, conns, ops int, rate float64) loadgen.Result {
+		t.Helper()
+		res, err := loadgen.Run(loadgen.Workload{
+			Addr: s.Addr().String(), Conns: conns, Ops: ops / conns, RatePerSec: rate,
+			DS: server.DSHashmap, KeySpace: 1 << 12, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("loadgen: %v", err)
+		}
+		if res.Responses != res.Sent {
+			t.Fatalf("responses %d != sent %d", res.Responses, res.Sent)
+		}
+		return res
+	}
+
+	// Capacity is ~600 ops/s (see TestBrownoutGracefulShed).
+	before := run(1020, 4, 800, 400)
+	if before.Errors != 0 {
+		t.Errorf("shed %d/%d ops at ~70%% of capacity", before.Errors, before.Sent)
+	}
+	over := run(1021, 8, 8000, 6000)
+	if over.P999 > slo {
+		t.Errorf("accepted-op p999 = %v exceeds SLO %v", over.P999, slo)
+	}
+	if served := over.Responses - over.Errors; served < 800 {
+		t.Errorf("only %d ops served during overload, want >= 800", served)
+	}
+	time.Sleep(300 * time.Millisecond)
+	after := run(1022, 4, 800, 400)
+	if after.Errors != 0 {
+		t.Errorf("shed %d/%d ops at ~70%% of capacity after the overload ended", after.Errors, after.Sent)
+	}
+
+	s.Shutdown()
+	auditBrownoutBooks(t, s.Snapshot())
+	t.Logf("below capacity: shed %d/%d before, %d/%d after; overload: served=%d shed=%d ok-p999=%v slo=%v",
+		before.Errors, before.Sent, after.Errors, after.Sent,
+		over.Responses-over.Errors, over.Errors, over.P999, slo)
+}
+
 // TestBrownoutBooksBalanceShards4 hammers a 4-shard server whose SLO is
-// set below the service time itself, so once the fitters warm the
-// controllers limit permanently and nearly everything sheds — the
-// worst case for the edge ledger. Every shard's books must still
+// set below the service time itself, so once the samplers have measured
+// a completion the bound sits at its floor and nearly everything sheds
+// — the worst case for the edge ledger. Every shard's books must still
 // balance to the op through sustained closed-loop shedding.
 func TestBrownoutBooksBalanceShards4(t *testing.T) {
 	ops := 400

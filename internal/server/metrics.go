@@ -14,6 +14,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -177,28 +178,28 @@ func (s *Server) buildMetrics() {
 			[]obs.Label{{Name: "shard", Value: label}}, func() float64 {
 				return float64(sh.Pump().Depth())
 			})
-		if s.admission != nil {
-			// Admission-control families (DESIGN.md §15), per shard:
-			// each shard has its own twin, its own prediction, and its
-			// own shed ledger.
-			ctrl := s.admission[i]
+		if s.cfg.SLO > 0 {
+			// Admission-control families (DESIGN.md §15), per shard: the
+			// shed ledger and the bound's two operands.
+			e := &s.edge[i]
 			reg.CounterFunc("batcherd_admission_shed_total",
-				"operations shed at the edge by the admission controller",
-				[]obs.Label{{Name: "shard", Value: label}}, ctrl.Shed)
-			reg.GaugeFunc("batcherd_admission_predicted_p999_ns",
-				"the analytical twin's p999 prediction at the observed arrival rate",
+				"operations shed at the edge by the admission backlog bound",
+				[]obs.Label{{Name: "shard", Value: label}}, e.shed.Load)
+			reg.GaugeFunc("batcherd_admission_limit_ops",
+				"standing-backlog bound in operations (0 until a completion has been measured)",
 				[]obs.Label{{Name: "shard", Value: label}}, func() float64 {
-					return float64(ctrl.Predicted())
+					return float64(e.limit.Load())
+				})
+			reg.GaugeFunc("batcherd_admission_service_rate",
+				"measured completion rate while work stands, operations per second",
+				[]obs.Label{{Name: "shard", Value: label}}, func() float64 {
+					return math.Float64frombits(e.rate.Load())
 				})
 			reg.GaugeFunc("batcherd_admission_slo_ns",
 				"configured admission latency SLO",
 				[]obs.Label{{Name: "shard", Value: label}}, func() float64 {
-					return float64(ctrl.SLO())
+					return float64(s.cfg.SLO.Nanoseconds())
 				})
-			tw := &s.twin[i]
-			reg.GaugeFunc("batcherd_twin_residual_pct",
-				"rolling mean absolute percent error of the twin's p999 prediction vs the realized per-tick p999",
-				[]obs.Label{{Name: "shard", Value: label}}, tw.residualPct)
 		}
 	}
 	if s.cfg.SlowK >= 0 {

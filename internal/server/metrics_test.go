@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"batcher/internal/faultinject"
 	"batcher/internal/loadgen"
@@ -85,9 +86,17 @@ func hammer(t *testing.T, addr string, conns, per int) {
 // batch-size histogram mean must match LiveBatchStats (same increment
 // site, so exactly, well inside the 1% acceptance bound).
 func TestMetricsScrape(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 4, Seed: 31, TraceRing: 1 << 12})
+	s := startServer(t, server.Config{Workers: 4, Seed: 31, TraceRing: 1 << 12, SLO: time.Second})
 	const conns, per = 8, 100
 	hammer(t, s.Addr().String(), conns, per)
+	// The admission sampler publishes on its own tick; wait for the one
+	// that has seen the traffic.
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().PerShard[0].AdmitLimit == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("admission sampler published no limit after served traffic")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	srv := httptest.NewServer(s.MetricsHandler())
 	defer srv.Close()
@@ -127,7 +136,7 @@ func TestMetricsScrape(t *testing.T) {
 			t.Errorf("registered family %q missing from the scrape", fam)
 		}
 	}
-	// The conformance families are always-on (no SLO configured here).
+	// The conformance families are always-on.
 	for _, fam := range []string{
 		"batcherd_conformance_headroom",
 		"batcherd_conformance_span_max_ns",
@@ -148,6 +157,23 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	if h := samples[`batcherd_conformance_headroom{shard="0"}`]; h <= 0 || h > 1.0 {
 		t.Errorf("conformance headroom = %v, want in (0, 1.0]", h)
+	}
+
+	// The admission families report the bound's operands (SLO is on): a
+	// served shard has a measured rate and a limit inside
+	// [Workers, QueueCap = 8·Workers], and 8 synchronous conns never
+	// stand deeper than that.
+	if r := samples[`batcherd_admission_service_rate{shard="0"}`]; r <= 0 {
+		t.Errorf("admission service rate = %v after %d served ops", r, conns*per)
+	}
+	if l := samples[`batcherd_admission_limit_ops{shard="0"}`]; l < 4 || l > 32 {
+		t.Errorf("admission limit = %v, want in [4, 32]", l)
+	}
+	if got := samples[`batcherd_admission_shed_total{shard="0"}`]; got != float64(st.Shed) || got != 0 {
+		t.Errorf("admission shed = %v, snapshot %d, want 0", got, st.Shed)
+	}
+	if got := samples[`batcherd_admission_slo_ns{shard="0"}`]; got != float64(time.Second) {
+		t.Errorf("admission slo = %v, want %v", got, float64(time.Second))
 	}
 
 	if got := samples["batcherd_ops_accepted_total"]; got != float64(st.Accepted) || got < conns*per {

@@ -378,15 +378,17 @@ func (s *Server) classify(c *conn, q Request, sc *edgeScratch) {
 	// home shard for the keyless counter).
 	sh := s.shardFor(q.DS, q.Key)
 	rq.shard = int32(sh)
-	// Offered is counted before admission so the sampler measures true
-	// demand (the arrival rate the twin prices) even while shedding.
-	s.edge[sh].offered.Add(1)
-	if s.admission != nil && !s.admission[sh].Take() {
-		// The shard's twin predicts p999 over SLO at this arrival rate:
-		// shed at the edge with an immediate FlagErr — a fast no from a
-		// healthy server — instead of parking into the saturation list
-		// where the op would burn its whole timeout to learn the same
-		// answer. The controller already counted the shed.
+	// Offered first, so the backlog the bound is checked against counts
+	// this operation too.
+	e := &s.edge[sh]
+	e.offered.Add(1)
+	if limit := e.limit.Load(); limit != 0 && s.backlog(sh) > limit {
+		// The shard already holds more standing work than it serves in
+		// half the SLO: shed at the edge with an immediate FlagErr — a
+		// fast no from a healthy server — instead of parking into the
+		// saturation list where the op would burn its whole timeout to
+		// learn the same answer.
+		e.shed.Add(1)
 		s.immediate.Add(1)
 		rq.flags = FlagErr
 		sc.imms = append(sc.imms, rq)

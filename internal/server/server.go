@@ -14,7 +14,6 @@ import (
 	"batcher/internal/ds/tree23"
 	"batcher/internal/obs"
 	"batcher/internal/sched"
-	"batcher/internal/sched/policy"
 	"batcher/internal/shard"
 )
 
@@ -102,20 +101,13 @@ type Config struct {
 	// SlowWindow sets the flight recorder's rotation period (the
 	// "slowest per window" horizon). Defaults to 10s.
 	SlowWindow time.Duration
-	// SLO, when positive, turns on analytical-twin admission control
-	// (DESIGN.md §15): each shard gets a sched.AdmissionController fed
-	// by a live-fitted sim.Model of that shard, and when the twin
-	// predicts p999 above SLO at the observed arrival rate, excess
-	// operations are shed at the edge with a fast FlagErr instead of
-	// parking into the saturation list. Zero disables admission
-	// control entirely (the pre-twin behavior: blind SaturationTimeout
-	// only).
+	// SLO, when positive, turns on admission control (DESIGN.md §15):
+	// each shard's standing backlog is bounded at what its measured
+	// completion rate serves in half the SLO, and an operation that
+	// would stand deeper is shed at the edge with a fast FlagErr
+	// instead of parking into the saturation list. Zero disables
+	// admission control (SaturationTimeout alone bounds a park).
 	SLO time.Duration
-	// AdmitInterval is the admission sampler's tick: how often each
-	// shard's twin is refitted from its live histograms and its
-	// credit bucket refilled. Only meaningful with SLO > 0. Defaults
-	// to 10ms.
-	AdmitInterval time.Duration
 }
 
 // Server owns a listener, a shard router (N scheduler runtimes, each
@@ -153,19 +145,10 @@ type Server struct {
 	satConns []*conn
 	satCount atomic.Int64
 
-	// Admission control (admission.go): one controller per shard when
-	// Config.SLO > 0 (nil slice otherwise), plus the per-shard edge
-	// ledger that makes the shard books balance —
-	// offered == completed + shed + rejected + abandoned.
-	admission []*sched.AdmissionController
-	edge      []edgeCounters
-
-	// Twin-residual telemetry (admission.go): per-shard rolling
-	// prediction error and the flight-recorder-style ring of recent
-	// admission decisions behind /debug/admission. Both nil/empty when
-	// admission control is off.
-	twin     []twinShardStats
-	admitLog *admitLog
+	// The per-shard edge ledger that makes the shard books balance —
+	// offered == completed + shed + rejected + abandoned — and carries
+	// the admission bound (admission.go).
+	edge []edgeCounters
 
 	curConns  atomic.Int64
 	accepted  atomic.Int64 // operations admitted into a shard pump (all shards)
@@ -198,9 +181,9 @@ type Server struct {
 // size distribution its runtime observes, one histogram per lifecycle
 // phase duration, the derived batch-delay histogram — Theorem 5.4's
 // per-op wait, auditable per shard because Invariants 1 and 2 hold per
-// shard — the end-to-end (read-to-done) latency histogram the twin
-// residual reads its realized p999 from, and the live conformance
-// monitor fed by the shard runtime's batch-land path.
+// shard — the end-to-end (read-to-done) latency histogram behind
+// measured_p999_ns, and the live conformance monitor fed by the shard
+// runtime's batch-land path.
 type shardMetrics struct {
 	batchHist *obs.Histogram
 	phaseHist [obs.NumPhases - 1]*obs.Histogram
@@ -268,9 +251,6 @@ func Start(cfg Config) (*Server, error) {
 	case cfg.SaturationTimeout < 0:
 		cfg.SaturationTimeout = 0
 	}
-	if cfg.AdmitInterval <= 0 {
-		cfg.AdmitInterval = 10 * time.Millisecond
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -294,28 +274,12 @@ func Start(cfg Config) (*Server, error) {
 		rq.op.Aux = rq
 		return rq
 	}
-	// Admission control: one controller per shard, and each shard's
-	// policy wrapped in policy.Shed so the pump's Admit seam enforces
-	// the controller's depth high-water mark behind the edge shed.
-	var policyFor func(int) sched.BatchPolicy
-	if cfg.SLO > 0 {
-		s.admission = make([]*sched.AdmissionController, cfg.Shards)
-		for i := range s.admission {
-			s.admission[i] = sched.NewAdmissionController(cfg.SLO)
-		}
-		s.twin = make([]twinShardStats, cfg.Shards)
-		s.admitLog = newAdmitLog(admitLogCap)
-		policyFor = func(i int) sched.BatchPolicy {
-			return policy.Shed{Inner: cfg.Policy, Ctrl: s.admission[i]}
-		}
-	}
 	s.router = shard.NewRouter(shard.Config{
-		Shards:    cfg.Shards,
-		Workers:   cfg.Workers,
-		Seed:      cfg.Seed,
-		QueueCap:  cfg.QueueCap,
-		Policy:    cfg.Policy,
-		PolicyFor: policyFor,
+		Shards:   cfg.Shards,
+		Workers:  cfg.Workers,
+		Seed:     cfg.Seed,
+		QueueCap: cfg.QueueCap,
+		Policy:   cfg.Policy,
 		NewDS: func(i int) []sched.Batched {
 			// Each shard gets its own structure instances, seeded
 			// distinctly (a shard is an independent batching domain, not
@@ -364,7 +328,7 @@ func Start(cfg Config) (*Server, error) {
 	s.srvWG.Add(2 + len(s.wloops))
 	go func() { defer s.srvWG.Done(); s.router.Serve() }()
 	go func() { defer s.srvWG.Done(); s.accept() }()
-	if s.admission != nil {
+	if cfg.SLO > 0 {
 		s.srvWG.Add(1)
 		go func() { defer s.srvWG.Done(); s.runAdmission() }()
 	}

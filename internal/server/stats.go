@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"time"
 
 	"batcher/internal/obs"
@@ -38,22 +39,15 @@ type Stats struct {
 	Failed    int64 `json:"failed"`
 	// Offered counts valid operations routed to a shard at decode time
 	// (before admission control), summed across shards; Shed counts
-	// those refused by the admission controllers (fast FlagErr at the
+	// those refused by the admission backlog bound (fast FlagErr at the
 	// edge, a subset of Immediate). With admission control off, Shed is
 	// 0 and Offered == Accepted + Rejected + abandoned ops. Per shard,
 	// offered == completed + shed + rejected + abandoned after a drain.
 	Offered int64 `json:"offered"`
 	Shed    int64 `json:"shed"`
 	// AdmitSLONS is the configured admission SLO (Config.SLO) in
-	// nanoseconds, 0 when admission control is off;
-	// AdmitPredictedP999NS is the worst per-shard twin prediction at
-	// the last sampler tick.
-	AdmitSLONS           int64 `json:"admit_slo_ns"`
-	AdmitPredictedP999NS int64 `json:"admit_predicted_p999_ns"`
-	// TwinResidualPct is the worst per-shard rolling mean absolute
-	// percent error of the twin's p999 predictions (0 with admission
-	// off or before the first paired tick).
-	TwinResidualPct float64 `json:"twin_residual_pct"`
+	// nanoseconds, 0 when admission control is off.
+	AdmitSLONS int64 `json:"admit_slo_ns"`
 	// ConformHeadroom is the worst per-shard Theorem 5.4 headroom
 	// gauge (measured windowed batch-delay max over the envelope
 	// 2·(span+gap); >1 means some shard exceeded the bound), and
@@ -120,23 +114,24 @@ type ShardStats struct {
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	// Offered/Shed/Rejected/Abandoned extend the ledger to the edge:
-	// offered ops routed here at decode, shed by the admission
-	// controller, rejected without a pump (saturation cap, shutdown),
-	// and abandoned (conn died before the pump). After a drain,
+	// offered ops routed here at decode, shed by the admission bound,
+	// rejected without a pump (saturation cap, shutdown), and abandoned
+	// (conn died before the pump). After a drain,
 	// offered == completed + shed + rejected + abandoned.
 	Offered   int64 `json:"offered"`
 	Shed      int64 `json:"shed"`
 	Rejected  int64 `json:"rejected"`
 	Abandoned int64 `json:"abandoned"`
-	// PredictedP999NS is this shard's twin prediction at the last
-	// admission sampler tick (0 with admission off or cold);
-	// MeasuredP999NS the end-to-end p999 realized over that tick's
-	// interval — or, with admission off, over the shard's lifetime, so
-	// the figure is never missing — and TwinResidualPct the rolling mean
-	// absolute percent error between the two (0 with admission off).
-	PredictedP999NS int64   `json:"predicted_p999_ns"`
-	MeasuredP999NS  int64   `json:"measured_p999_ns"`
-	TwinResidualPct float64 `json:"twin_residual_pct"`
+	// AdmitLimit and AdmitRatePerSec are the admission bound's operands
+	// (DESIGN.md §15): the standing-backlog limit in ops (0 = unlimited:
+	// admission off, or no completion measured yet) and μ, the measured
+	// completion rate it is derived from.
+	AdmitLimit      int64   `json:"admit_limit"`
+	AdmitRatePerSec float64 `json:"admit_rate_per_sec"`
+	// MeasuredP999NS is the lifetime p999 of batcherd_op_total_ns, the
+	// end-to-end (read-to-done) latency; scrape /metrics for an interval
+	// view.
+	MeasuredP999NS int64 `json:"measured_p999_ns"`
 	// Conformance is the live Theorem 5.4 / Lemma 2 monitor's windowed
 	// gauges for this shard (DESIGN.md §16).
 	Conformance obs.ConformSnapshot `json:"conformance"`
@@ -184,39 +179,29 @@ func (s *Server) Snapshot() Stats {
 		st.MeanBatch = float64(ops) / float64(batches)
 	}
 	for i := range st.PerShard {
-		sh := s.router.Shard(i)
+		sh, e := s.router.Shard(i), &s.edge[i]
 		acc, comp, failed := sh.Books()
 		b, o := sh.Runtime().LiveBatchStats()
 		ss := ShardStats{
-			Shard:       i,
-			Accepted:    acc,
-			Completed:   comp,
-			Failed:      failed,
-			Offered:     s.edge[i].offered.Load(),
-			Rejected:    s.edge[i].rejected.Load(),
-			Abandoned:   s.edge[i].abandoned.Load(),
-			Batches:     b,
-			BatchedOps:  o,
-			QueueDepth:  sh.Pump().Depth(),
-			BatchPanics: sh.Runtime().BatchPanics(),
+			Shard:           i,
+			Accepted:        acc,
+			Completed:       comp,
+			Failed:          failed,
+			Offered:         e.offered.Load(),
+			Shed:            e.shed.Load(),
+			Rejected:        e.rejected.Load(),
+			Abandoned:       e.abandoned.Load(),
+			AdmitLimit:      e.limit.Load(),
+			AdmitRatePerSec: math.Float64frombits(e.rate.Load()),
+			MeasuredP999NS:  s.shardM[i].totalHist.Quantile(0.999),
+			Conformance:     s.shardM[i].conform.Snapshot(),
+			Batches:         b,
+			BatchedOps:      o,
+			QueueDepth:      sh.Pump().Depth(),
+			BatchPanics:     sh.Runtime().BatchPanics(),
 		}
-		if s.admission != nil {
-			ss.Shed = s.admission[i].Shed()
-			ss.PredictedP999NS = s.admission[i].Predicted()
-			ss.MeasuredP999NS = s.twin[i].realized.Load()
-			ss.TwinResidualPct = s.twin[i].residualPct()
-		} else {
-			ss.MeasuredP999NS = s.shardM[i].totalHist.Quantile(0.999)
-		}
-		ss.Conformance = s.shardM[i].conform.Snapshot()
 		st.Offered += ss.Offered
 		st.Shed += ss.Shed
-		if ss.PredictedP999NS > st.AdmitPredictedP999NS {
-			st.AdmitPredictedP999NS = ss.PredictedP999NS
-		}
-		if ss.TwinResidualPct > st.TwinResidualPct {
-			st.TwinResidualPct = ss.TwinResidualPct
-		}
 		if ss.Conformance.Headroom > st.ConformHeadroom {
 			st.ConformHeadroom = ss.Conformance.Headroom
 		}

@@ -89,14 +89,6 @@ type Config struct {
 	// acts per shard: a size cap counts one shard's trapped workers, a
 	// deadline watches one shard's pending array.
 	Policy sched.BatchPolicy
-	// PolicyFor, if non-nil, overrides Policy per shard: shard i runs
-	// PolicyFor(i) (nil return falls back to Policy, then the
-	// scheduler default). The seam exists for per-shard stateful
-	// wrappers — the admission controller wraps each shard's policy
-	// with its own sched.AdmissionController, which must not be shared
-	// across shards (each shard's twin is fitted from that shard's
-	// histograms).
-	PolicyFor func(shard int) sched.BatchPolicy
 	// NewDS builds shard i's structure set, indexed by the wire ds
 	// code. The router itself never interprets the structures — it only
 	// stores and serves them — so the serving layer keeps sole
@@ -179,16 +171,10 @@ func NewRouter(cfg Config) *Router {
 	r := &Router{shards: make([]*Shard, cfg.Shards)}
 	for i := range r.shards {
 		sh := &Shard{id: i}
-		pol := cfg.Policy
-		if cfg.PolicyFor != nil {
-			if p := cfg.PolicyFor(i); p != nil {
-				pol = p
-			}
-		}
 		sh.rt = sched.New(sched.Config{
 			Workers: cfg.Workers,
 			Seed:    cfg.Seed + uint64(i),
-			Policy:  pol,
+			Policy:  cfg.Policy,
 		})
 		if cfg.NewDS != nil {
 			sh.ds = cfg.NewDS(i)

@@ -24,11 +24,11 @@ package sim
 // Calibration (FitModel) anchors the free constants against measured
 // sweeps: the service curve by least squares over (b, s) samples, and
 // the tail mapping p999 ≈ BaseNS + Tail·delay by least squares over
-// (modeled delay, measured p999) points. The same Model then serves two
-// consumers: `batcherlab twin` (predict/validate latency-vs-load
-// curves offline) and the server's admission controller (invert the
-// curve live: the largest admissible rate whose predicted p999 still
-// meets the SLO). See DESIGN.md §15.
+// (modeled delay, measured p999) points. The Model is an offline
+// capacity-planning tool: `batcherlab twin` predicts and validates
+// latency-vs-load curves from a recorded sweep. The server does not use
+// it — its admission control bounds the measured backlog instead
+// (DESIGN.md §15).
 
 import (
 	"errors"
@@ -244,8 +244,8 @@ func FitModel(workers int, pts []CalPoint) (Model, error) {
 	// i.e. it minimizes RELATIVE error: a sweep's near-capacity points
 	// are an order of magnitude above its low-load points, and an
 	// absolute fit would buy accuracy at the knee by overshooting the
-	// whole admissible region — exactly where admission control reads
-	// the curve.
+	// whole admissible region — the part of the curve a capacity plan
+	// reads.
 	var sw, sx, sy, sxx, sxy, n float64
 	for _, p := range used {
 		x := m.DelayNS(p.RatePerSec, 0)
@@ -321,54 +321,4 @@ func fitServiceCurve(pts []CalPoint) (s0, s1 float64) {
 		return 0, ss / sb
 	}
 	return 0, ss / n
-}
-
-// Fitter accumulates (batch size, batch service time) samples into an
-// exponentially decayed least-squares fit of the service curve — the
-// live half of calibration. The server's admission sampler feeds it
-// per-tick histogram deltas; Params hands the current curve to a
-// Model. The decay keeps roughly the last ~50 samples relevant, so the
-// curve tracks workload shifts within a few seconds at typical tick
-// rates. Not safe for concurrent use; each shard's sampler owns one.
-type Fitter struct {
-	n, sb, ss, sbb, sbs float64
-}
-
-// fitterDecay is the per-sample forgetting factor (~50-sample memory).
-const fitterDecay = 0.98
-
-// Add records one (mean batch size, mean batch service ns) sample.
-func (f *Fitter) Add(batch, serviceNS float64) {
-	if batch < 1 || serviceNS <= 0 {
-		return
-	}
-	f.n = f.n*fitterDecay + 1
-	f.sb = f.sb*fitterDecay + batch
-	f.ss = f.ss*fitterDecay + serviceNS
-	f.sbb = f.sbb*fitterDecay + batch*batch
-	f.sbs = f.sbs*fitterDecay + batch*serviceNS
-}
-
-// Samples returns the effective (decayed) sample count.
-func (f *Fitter) Samples() float64 { return f.n }
-
-// Params returns the fitted service curve. ok is false until enough
-// samples accumulated to trust any fit (the caller should admit
-// everything during cold start rather than act on noise).
-func (f *Fitter) Params() (s0, s1 float64, ok bool) {
-	if f.n < 3 {
-		return 0, 0, false
-	}
-	det := f.n*f.sbb - f.sb*f.sb
-	if det > 1e-6*f.sbb*f.n {
-		s1 = (f.n*f.sbs - f.sb*f.ss) / det
-		s0 = (f.ss - s1*f.sb) / f.n
-		if s0 >= 0 && s1 >= 0 && (s0 > 0 || s1 > 0) {
-			return s0, s1, true
-		}
-	}
-	if f.sb > 0 {
-		return 0, f.ss / f.sb, true
-	}
-	return 0, 0, false
 }

@@ -144,48 +144,3 @@ func TestMaxAdmissibleRateInverts(t *testing.T) {
 		t.Error("backlog did not shrink admissible rate")
 	}
 }
-
-func TestFitterTracksCurve(t *testing.T) {
-	var f Fitter
-	if _, _, ok := f.Params(); ok {
-		t.Fatal("empty fitter reported ok")
-	}
-	// Feed samples from s(b) = 30000 + 5000·b with batch-size spread.
-	for i := 0; i < 50; i++ {
-		b := float64(1 + i%8)
-		f.Add(b, 30_000+5_000*b)
-	}
-	s0, s1, ok := f.Params()
-	if !ok {
-		t.Fatal("fitter not ok after 50 samples")
-	}
-	if math.Abs(s0-30_000) > 1_500 || math.Abs(s1-5_000) > 250 {
-		t.Errorf("fit = (%v, %v), want ~(30000, 5000)", s0, s1)
-	}
-	// Decay: shift the workload and the fit must follow.
-	for i := 0; i < 400; i++ {
-		b := float64(1 + i%8)
-		f.Add(b, 60_000+9_000*b)
-	}
-	s0, s1, _ = f.Params()
-	if math.Abs(s0-60_000) > 4_000 || math.Abs(s1-9_000) > 600 {
-		t.Errorf("post-shift fit = (%v, %v), want ~(60000, 9000)", s0, s1)
-	}
-	// Degenerate spread (all the same batch size) still yields a usable
-	// proportional estimate.
-	var g Fitter
-	for i := 0; i < 10; i++ {
-		g.Add(4, 100_000)
-	}
-	s0, s1, ok = g.Params()
-	if !ok || math.Abs(s0+4*s1-100_000) > 1 {
-		t.Errorf("degenerate fit = (%v, %v, %v), want s(4)=100000", s0, s1, ok)
-	}
-	// Garbage samples are ignored.
-	var h Fitter
-	h.Add(0, 100)
-	h.Add(2, -5)
-	if h.Samples() != 0 {
-		t.Errorf("invalid samples counted: %v", h.Samples())
-	}
-}
