@@ -55,8 +55,6 @@ fuzz:
 # close-during-flood, fault-injected structures, the wire-level chaos
 # tests and the sharded shutdown drain, under the race detector. This
 # target is the one definition of the suite — CI's chaos steps call it.
-# Set BATCHERD_POLICY=size-cap or =deadline to rerun it under an
-# alternative batch-formation policy (CI runs all three).
 chaos:
 	go test -race -run 'TestContain|TestPanickerContained|TestFlakyEveryN|TestPumpServesThroughBatchPanic|TestPumpFlood|TestPumpCloseDuringFlood|TestChaos|TestStatsBooks|TestShardedShutdownDrain' \
 		-count=1 -v ./internal/sched/ ./internal/faultinject/ ./internal/server/

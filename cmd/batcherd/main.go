@@ -71,7 +71,6 @@ import (
 	"time"
 
 	"batcher/internal/loadgen"
-	"batcher/internal/sched/policy"
 	"batcher/internal/server"
 )
 
@@ -113,16 +112,8 @@ func serveCmd(args []string) {
 	traceRing := fs.Int("trace-ring", 0, "scheduler event-ring slots per worker (0 disables tracing; enables /trace with -metrics)")
 	slowK := fs.Int("slow-k", 0, "tail flight recorder: keep the K slowest ops per window (0 = 16 default, <0 disables)")
 	slowWindow := fs.Duration("slow-window", 0, "tail flight recorder rotation window (0 = 10s default)")
-	policyName := fs.String("policy", "default", "batch-formation policy per shard runtime: default|size-cap|deadline")
-	policyK := fs.Int("policy-k", 0, "size-cap policy: launch once this many workers are trapped (0 = P, a full batch)")
-	policyDeadline := fs.Duration("policy-deadline", 0, "deadline policy: pending-delay budget (0 = 1ms default)")
 	fs.Parse(args)
 
-	pol, err := policy.ByName(*policyName, *policyK, *policyDeadline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "batcherd: %v\n", err)
-		os.Exit(2)
-	}
 	s, err := server.Start(server.Config{
 		Addr:              *addr,
 		Shards:            *shards,
@@ -135,7 +126,6 @@ func serveCmd(args []string) {
 		WriteStallTimeout: *stall,
 		SaturationTimeout: *saturation,
 		SLO:               *slo,
-		Policy:            pol,
 		TraceRing:         *traceRing,
 		SlowK:             *slowK,
 		SlowWindow:        *slowWindow,

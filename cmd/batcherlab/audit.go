@@ -23,7 +23,6 @@ import (
 	"batcher/internal/ds/tree23"
 	"batcher/internal/obs"
 	"batcher/internal/sched"
-	"batcher/internal/sched/policy"
 )
 
 // auditRow is one structure's audit result: the attached monitor's
@@ -48,8 +47,8 @@ func (r auditRow) verdictDelay() bool { return r.conf.Headroom <= 1 }
 
 // auditOne runs n operations against one structure with a conformance
 // monitor attached and returns the monitor's snapshot.
-func auditOne(name string, ds sched.Batched, kind sched.OpKind, n, workers int, seed uint64, pol sched.BatchPolicy) auditRow {
-	rt := sched.New(sched.Config{Workers: workers, Seed: seed, Policy: pol})
+func auditOne(name string, ds sched.Batched, kind sched.OpKind, n, workers int, seed uint64) auditRow {
+	rt := sched.New(sched.Config{Workers: workers, Seed: seed})
 	// The monitor's maxima are windowed; an hour outlasts any audit run,
 	// so the snapshot covers every batch.
 	conf := obs.NewConform(time.Hour)
@@ -106,24 +105,14 @@ func auditCmd() {
 		n = 1000
 	}
 	w := *workers
-	// Every batch-formation policy owes this audit: a policy only moves
-	// launch timing, so Lemma 2 and the 2·(span+gap) envelope must
-	// survive it (lingering widens gaps, and the bound widens with
-	// them — a policy that broke the *shape* would need extra landings,
-	// which the mechanism forbids).
-	pol, err := policy.ByName(*polName, 0, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "audit: %v\n", err)
-		os.Exit(2)
-	}
 	rows := []auditRow{
-		auditOne("counter", counter.New(0), counter.OpIncrement, n, w, *seed, pol),
-		auditOne("skiplist", skiplist.NewBatched(*seed^0x9e3779b97f4a7c15), skiplist.OpInsert, n, w, *seed, pol),
-		auditOne("tree23", tree23.NewBatched(), tree23.OpInsert, n, w, *seed, pol),
-		auditOne("hashmap", hashmap.NewBatched(*seed^0xd1342543de82ef95), hashmap.OpPut, n, w, *seed, pol),
+		auditOne("counter", counter.New(0), counter.OpIncrement, n, w, *seed),
+		auditOne("skiplist", skiplist.NewBatched(*seed^0x9e3779b97f4a7c15), skiplist.OpInsert, n, w, *seed),
+		auditOne("tree23", tree23.NewBatched(), tree23.OpInsert, n, w, *seed),
+		auditOne("hashmap", hashmap.NewBatched(*seed^0xd1342543de82ef95), hashmap.OpPut, n, w, *seed),
 	}
 
-	fmt.Printf("%d Batchify round trips per structure, P=%d, policy=%s, obs.Conform attached\n", n, w, pol.Name())
+	fmt.Printf("%d Batchify round trips per structure, P=%d, obs.Conform attached\n", n, w)
 	fmt.Printf("delay = pending→land per op; bound = 2·(span_max + gap_max), from Lemma 2; headroom = delay_max/bound\n\n")
 	if !printAuditTable(os.Stdout, rows) {
 		os.Exit(1)

@@ -13,16 +13,11 @@ import (
 
 	"batcher/internal/ds/counter"
 	"batcher/internal/obs"
-	"batcher/internal/sched/policy"
 )
 
 func TestAuditReportsConformSnapshot(t *testing.T) {
-	pol, err := policy.ByName("default", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n, p = 1000, 4
-	row := auditOne("counter", counter.New(0), counter.OpIncrement, n, p, 7, pol)
+	row := auditOne("counter", counter.New(0), counter.OpIncrement, n, p, 7)
 	c := row.conf
 	t.Logf("snapshot: %+v", c)
 

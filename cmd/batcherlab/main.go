@@ -24,13 +24,6 @@
 //	                    # live dashboard for a running batcherd: per-shard
 //	                    # ops/s, batching, queue depth, admission limit,
 //	                    # measured p999, Theorem 5.4 headroom, shed rate
-//	batcherlab twin [-validate] [-tol 0.25] [-record f.json] [-replay f.json]
-//	                [-quick] [-workers N]
-//	                    # calibrate the analytical twin (an offline
-//	                    # capacity-planning model, DESIGN.md §15)
-//	                    # against a live load sweep — or -replay a
-//	                    # recorded one — and report predicted-vs-measured
-//	                    # p999 per point; -validate gates on the error
 //
 // Flags:
 //
@@ -54,9 +47,7 @@ var (
 	quick   = flag.Bool("quick", false, "run with smaller, CI-sized parameters")
 	seed    = flag.Uint64("seed", 20140623, "simulator seed")
 	workers = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for real-runtime experiments")
-	polName = flag.String("policy", "default",
-		"batch-formation policy for the audit's real runtimes: default|size-cap|deadline")
-	chrome = flag.String("chrome", "",
+	chrome  = flag.String("chrome", "",
 		"trace subcommand: run a real traced workload and write Chrome trace_event JSON to this file")
 )
 
@@ -76,14 +67,6 @@ func main() {
 		// Operational: polling dashboard over a running batcherd's stats
 		// document (watch.go). Own flags, excluded from "all".
 		watchCmd(flag.Args()[1:])
-		return
-	}
-	if cmd == "twin" {
-		// Calibration, not an experiment: fit the analytical twin from a
-		// live or recorded load sweep and gate its p999 predictions
-		// (twin.go). Excluded from "all" — the live sweep takes seconds
-		// of wall clock by design.
-		twinCmd(flag.Args()[1:])
 		return
 	}
 	ran := false

@@ -78,10 +78,10 @@ func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64) {
 		opsRate = float64(sumCompleted(st)-sumCompleted(*prev)) / dt
 		shedRate = float64(st.Shed-prev.Shed) / dt
 	}
-	fmt.Fprintf(w, "batcherd %s  up %s  conns %d  policy %s  slo %s\n",
+	fmt.Fprintf(w, "batcherd %s  up %s  conns %d  slo %s\n",
 		time.Now().Format("15:04:05"),
 		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second),
-		st.Conns, st.Policy, slo)
+		st.Conns, slo)
 	fmt.Fprintf(w, "ops/s %.0f  mean_batch %.2f  queue %d  shed/s %.1f  headroom %.3f  max_landings %d\n",
 		opsRate, st.MeanBatch, st.QueueDepth, shedRate,
 		st.ConformHeadroom, st.ConformMaxLandings)

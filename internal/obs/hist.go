@@ -188,62 +188,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// HistCursor remembers one reader's position in a histogram so that
-// interval (delta) quantiles can be computed: the quantile over only
-// the observations recorded since the cursor last advanced. The
-// admission sampler uses one per shard to pair each tick's predicted
-// p999 against the p999 *realized during that tick*, which a lifetime
-// quantile would smear out. A cursor belongs to a single reader; the
-// histogram itself stays shared and lock-free.
-type HistCursor struct {
-	counts [numBuckets]uint64
-}
-
-// DeltaQuantile returns an upper estimate of the q-quantile of the
-// observations recorded since c's last advance, then advances c to
-// the current position. The second result is false when no new
-// observations arrived (the cursor still advances past any partial
-// racing updates it saw). Same bucket geometry and ≤3.125% relative
-// error as Quantile. The scan is O(numBuckets) — a few microseconds —
-// intended for sampler-rate (not hot-path) use.
-func (h *Histogram) DeltaQuantile(q float64, c *HistCursor) (int64, bool) {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// One pass snapshots the deltas and totals them; totaling from the
-	// bucket counts themselves (not h.count) keeps the target and the
-	// scan internally consistent under concurrent Observes.
-	var deltas [numBuckets]uint64
-	var total int64
-	for i := range h.counts {
-		cur := h.counts[i].Load()
-		deltas[i] = cur - c.counts[i]
-		c.counts[i] = cur
-		total += int64(deltas[i])
-	}
-	if total == 0 {
-		return 0, false
-	}
-	target := int64(q*float64(total) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum int64
-	for i := range deltas {
-		cum += int64(deltas[i])
-		if cum >= target {
-			return bucketUpper(i), true
-		}
-	}
-	return bucketUpper(numBuckets - 1), true
-}
-
 // Bucket is one cumulative exposition bucket: Count observations were
 // ≤ Upper.
 type Bucket struct {

@@ -194,53 +194,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramDeltaQuantile pins the cursor semantics the admission
-// sampler's twin-residual pairing depends on: each call reads the
-// quantile of only the observations since the previous call, reports
-// no-data intervals as !ok, and leaves the lifetime quantiles — and
-// other cursors — untouched.
-func TestHistogramDeltaQuantile(t *testing.T) {
-	h := NewHistogram()
-	var c HistCursor
-	if _, ok := h.DeltaQuantile(0.999, &c); ok {
-		t.Fatal("empty histogram reported a delta quantile")
-	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(1000)
-	}
-	q1, ok := h.DeltaQuantile(0.999, &c)
-	if !ok {
-		t.Fatal("no delta after 1000 observations")
-	}
-	if q1 < 1000 || float64(q1) > 1000*(1+1.0/subCount)+1 {
-		t.Fatalf("first delta p999 = %d, want ~1000", q1)
-	}
-	if _, ok := h.DeltaQuantile(0.999, &c); ok {
-		t.Fatal("delta reported with no new observations")
-	}
-	// A later interval of much slower ops: the delta must see only
-	// them, though the lifetime histogram is 10:1 dominated by fast ones.
-	for i := 0; i < 100; i++ {
-		h.Observe(1_000_000)
-	}
-	q2, ok := h.DeltaQuantile(0.999, &c)
-	if !ok {
-		t.Fatal("no delta after second interval")
-	}
-	if q2 < 1_000_000 || float64(q2) > 1_000_000*(1+1.0/subCount)+1 {
-		t.Fatalf("second delta p999 = %d, want ~1e6 (interval isolated from history)", q2)
-	}
-	if m := h.Quantile(0.5); m > 2000 {
-		t.Fatalf("lifetime median %d perturbed by cursor reads", m)
-	}
-	// An independent cursor starts from zero and sees everything.
-	var c2 HistCursor
-	q3, ok := h.DeltaQuantile(0.999, &c2)
-	if !ok || q3 < 1_000_000 {
-		t.Fatalf("fresh cursor p999 = %d ok=%v, want lifetime tail ~1e6", q3, ok)
-	}
-}
-
 // TestHistogramMergeDisjointQuantileError merges two histograms whose
 // value ranges do not overlap — the regime where a merge bug (dropped
 // buckets, double-counted totals) shows up as a quantile landing in

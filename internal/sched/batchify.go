@@ -6,7 +6,6 @@ package sched
 
 import (
 	"math"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,37 +105,22 @@ func (c *Ctx) Batchify(op *OpRecord) {
 	rt := w.rt
 	op.worker = int32(w.id)
 	op.Err = nil // the scheduler owns Err until the operation completes
-	now := obs.Now()
 	if rt.stampPhases {
-		op.Phases[obs.PhasePending] = now
+		op.Phases[obs.PhasePending] = obs.Now()
 	}
 
-	// Ask the policy for this operation's linger budget: how many times
-	// a LaunchHold verdict will be honored before the scheduler forces
-	// a launch. While a Pump serves, every core task is a pump loop, so
-	// rt.pump doubles as the "pump-fed operation" bit.
-	pol := rt.policy
-	external := rt.pump != nil
-	budget := pol.LingerYields(external)
-	hadBudget := budget > 0
-
-	// Publish the slot stamp, then the record, then the status. All
-	// three stores are sequentially consistent, so a launcher (or a
-	// policy scan) that observes the record also observes its stamp,
-	// and one that observes status==pending also observes the record.
-	// With a conformance monitor attached, the slot's stamp and its
-	// landed-batch count (the Theorem 5.4 delay and Lemma 2 gauges) are
-	// instead read only *after* the publish: a worker descheduled
-	// mid-publish is then never charged delay or landings it was not
-	// pending for. Until those reads land both hold MaxInt64, which a
-	// launcher reads as "pending since my own batch" and a policy scan
-	// as age 0.
+	// Publish the record, then the status. Both stores are sequentially
+	// consistent, so a launcher that observes status==pending also
+	// observes the record. With a conformance monitor attached, the
+	// slot's stamp and its landed-batch count (the Theorem 5.4 delay and
+	// Lemma 2 gauges) are read only *after* the publish: a worker
+	// descheduled mid-publish is then never charged delay or landings it
+	// was not pending for. Until those reads land both hold MaxInt64,
+	// which a launcher reads as "pending since my own batch".
 	slot := &rt.pending[w.id]
 	if rt.conform != nil {
 		slot.stamp.Store(math.MaxInt64)
 		slot.seq.Store(math.MaxInt64)
-	} else {
-		slot.stamp.Store(now)
 	}
 	slot.rec.Store(op)
 	w.status.Store(int32(StatusPending))
@@ -157,51 +141,27 @@ func (c *Ctx) Batchify(op *OpRecord) {
 			w.status.Store(int32(StatusFree))
 			return
 		}
-		if rt.batchFlag.Load() == 0 {
-			reason := LaunchImmediate
-			if budget > 0 {
-				reason = pol.ShouldLaunch(PolicyView{
-					rt:         rt,
-					Workers:    len(rt.workers),
-					External:   external,
-					YieldsLeft: budget,
-				})
-				if reason == LaunchHold {
-					// Launch linger: the policy wants a fatter batch, so
-					// yield (bounded) before claiming the flag — another
-					// worker can trap meanwhile. If a sibling launches
-					// first, the next loop iteration sees our status
-					// flip instead.
-					budget--
-					goruntime.Gosched()
-					continue
-				}
-			} else if hadBudget {
-				// The policy held until the budget ran out: launch
-				// anyway. This backstop keeps every policy live.
-				reason = LaunchBudget
+		// The paper's launch rule: the first time the flag is seen
+		// clear, claim it.
+		if rt.batchFlag.Load() == 0 && rt.batchFlag.CompareAndSwap(0, 1) {
+			// We are the launcher: inject LaunchBatch at the bottom
+			// of our batch deque and let the normal loop execute it
+			// (so that its parallel setup/cleanup is itself
+			// stealable batch work). The task is detached — nobody
+			// joins on it — so whichever worker runs it recycles
+			// the frame (recycleAfterRun).
+			w.m.BatchesLaunched++
+			if tr := rt.tracer; tr != nil {
+				tr.Record(w.id, obs.EvBatchLaunch, 0, 0)
 			}
-			if rt.batchFlag.CompareAndSwap(0, 1) {
-				rt.launchReasons[reason].Add(1)
-				// We are the launcher: inject LaunchBatch at the bottom
-				// of our batch deque and let the normal loop execute it
-				// (so that its parallel setup/cleanup is itself
-				// stealable batch work). The task is detached — nobody
-				// joins on it — so whichever worker runs it recycles
-				// the frame (recycleAfterRun).
-				w.m.BatchesLaunched++
-				if tr := rt.tracer; tr != nil {
-					tr.Record(w.id, obs.EvBatchLaunch, 0, 0)
-				}
-				lt := w.getTask()
-				lt.fn = rt.launchFn
-				lt.kind = KindBatch
-				lt.group = 0 // scheduler work: a panic here is never contained
-				lt.recycleAfterRun = true
-				w.batch.PushBottom(lt)
-				rt.idle.wake()
-				continue
-			}
+			lt := w.getTask()
+			lt.fn = rt.launchFn
+			lt.kind = KindBatch
+			lt.group = 0 // scheduler work: a panic here is never contained
+			lt.recycleAfterRun = true
+			w.batch.PushBottom(lt)
+			rt.idle.wake()
+			continue
 		}
 		if !w.stealAndRun(true) {
 			w.idleTrapped()

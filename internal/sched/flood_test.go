@@ -1,15 +1,10 @@
 package sched_test
 
-// Flood and drain tests for the launch-time top-up (DESIGN.md §8). They
-// live in the external test package so they can import sched/policy: the
-// CI policy matrix sets BATCHERD_POLICY and reruns them under size-cap
-// and deadline, because the top-up sits below the policy seam and owes
-// every policy the same guarantees.
+// Flood and drain tests for the launch-time top-up (DESIGN.md §8).
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,23 +13,7 @@ import (
 
 	"batcher/internal/obs"
 	"batcher/internal/sched"
-	"batcher/internal/sched/policy"
 )
-
-// envPolicy resolves BATCHERD_POLICY; unset (the usual local run) means
-// nil, the scheduler default.
-func envPolicy(t testing.TB) sched.BatchPolicy {
-	t.Helper()
-	name := os.Getenv("BATCHERD_POLICY")
-	if name == "" {
-		return nil
-	}
-	pol, err := policy.ByName(name, 0, 0)
-	if err != nil {
-		t.Fatalf("BATCHERD_POLICY: %v", err)
-	}
-	return pol
-}
 
 // floodDS sums its ops and witnesses both invariants from inside the
 // BOP: one batch at a time, never more than P ops.
@@ -79,7 +58,7 @@ type flood struct {
 
 func startFlood(t *testing.T, workers, ops int) *flood {
 	f := &flood{
-		rt:    sched.New(sched.Config{Workers: workers, Seed: 900 + uint64(workers), Policy: envPolicy(t)}),
+		rt:    sched.New(sched.Config{Workers: workers, Seed: 900 + uint64(workers)}),
 		ds:    &floodDS{p: workers},
 		m:     obs.NewConform(time.Hour),
 		recs:  make([]sched.OpRecord, ops),
@@ -245,5 +224,43 @@ func TestPumpCloseDuringFlood(t *testing.T) {
 			t.Fatalf("accepted %d of %d ops: Close did not land mid-flood", got, len(f.recs))
 		}
 		f.check(t)
+	}
+}
+
+// TestPumpPreloadedBacklogLaunchesImmediately pins the paper's launch
+// rule under a serving pump: with a standing backlog every batch
+// launches on the first idle-flag check, and the top-up, not a wait,
+// is what fills it.
+func TestPumpPreloadedBacklogLaunchesImmediately(t *testing.T) {
+	const ops, workers = 256, 4
+	rt := sched.New(sched.Config{Workers: workers, Seed: 705})
+	p := sched.NewPump(rt, sched.PumpConfig{QueueCap: ops})
+	ds := &floodDS{p: workers}
+	recs := make([]sched.OpRecord, ops)
+	for i := range recs {
+		recs[i] = sched.OpRecord{DS: ds, Val: 1}
+		if err := p.Submit(&recs[i]); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	p.Close()
+	p.Serve()
+	if ds.total != ops {
+		t.Fatalf("ds.total = %d, want %d", ds.total, ops)
+	}
+	batches, done := rt.LiveBatchStats()
+	if mean := float64(done) / float64(batches); mean < 0.9*workers {
+		t.Fatalf("mean batch %.2f over a preloaded backlog, want >= %.1f", mean, 0.9*workers)
+	}
+	reasons := rt.LaunchReasons()
+	var launches int64
+	for r, n := range reasons {
+		if sched.LaunchReason(r) != sched.LaunchImmediate && n != 0 {
+			t.Fatalf("%d batches launched as %v, want only %v (reasons %v)", n, sched.LaunchReason(r), sched.LaunchImmediate, reasons)
+		}
+		launches += n
+	}
+	if claims := rt.Metrics().BatchesLaunched; launches != claims || claims < batches {
+		t.Fatalf("launch reasons sum to %d, flag claims %d, nonempty batches %d", launches, claims, batches)
 	}
 }

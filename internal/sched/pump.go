@@ -70,7 +70,7 @@ type Pump struct {
 	q    []*OpRecord // FIFO: q[head:] are the queued records
 	head int
 	// closed and depth (== len(q)-head) are written under mu and read
-	// without it, so idle pump loops, policy scans and stats readers
+	// without it, so idle pump loops and stats readers
 	// never contend with submitters.
 	closed atomic.Bool
 	depth  atomic.Int64

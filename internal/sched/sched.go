@@ -160,10 +160,6 @@ type Config struct {
 	// workers always steal from batch deques, per the paper. The default
 	// is AlternatingSteal, the policy the analysis requires.
 	StealPolicy StealPolicy
-	// Policy selects the batch-formation policy — whether and how long a
-	// trapped worker holds before launching a batch (see BatchPolicy).
-	// Nil means AlternatingStealPolicy, the paper's immediate launch.
-	Policy BatchPolicy
 }
 
 // StealPolicy selects which deque a free worker targets on its k-th steal
@@ -192,15 +188,10 @@ const cacheLinePad = 128
 // worker's slot.
 type paddedPending struct {
 	rec atomic.Pointer[OpRecord]
-	// stamp is the obs.Now publish time of the record in rec, stored
-	// (sequentially consistent) immediately before rec so that any
-	// reader observing the record also observes its stamp. It backs
-	// PolicyView.OldestPendingNS without touching the record itself:
-	// records are recycled by their owning workers, so reading
-	// OpRecord fields from another worker's policy scan would race.
-	// While a conformance monitor is attached it also backs the
-	// Theorem 5.4 delay gauge, and is then a MaxInt64 sentinel until
-	// the clock is read after the publish (see Batchify).
+	// stamp is the obs.Now time at which the record in rec became
+	// pending, read after the publish (a MaxInt64 sentinel until then;
+	// see Batchify). It backs the Theorem 5.4 delay gauge and is
+	// maintained only while a conformance monitor is attached.
 	stamp atomic.Int64
 	// seq is the number of batches that had landed when the record
 	// became pending, read after the publish like stamp; it backs the
@@ -263,16 +254,6 @@ type Runtime struct {
 	// Pump.Serve) is in progress — Runtime.Metrics is quiescent-only.
 	liveBatches atomic.Int64
 	liveOps     atomic.Int64
-
-	// policy is the batch-formation policy (never nil; default
-	// AlternatingStealPolicy). Like tracer/batchHist it is written only
-	// while quiescent (SetPolicy) and read unsynchronized by workers.
-	policy BatchPolicy
-
-	// launchReasons counts successful batch-flag claims by the policy
-	// reason that triggered them (see LaunchReason); one add per
-	// launch, readable live via LaunchReasons.
-	launchReasons [NumLaunchReasons]atomic.Int64
 
 	// liveSteals is the successful-steal twin of liveBatches: the
 	// per-worker SuccessfulSteals counters are owner-written plain ints,
@@ -350,10 +331,6 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:     cfg,
 		pending: make([]paddedPending, cfg.Workers),
-		policy:  cfg.Policy,
-	}
-	if rt.policy == nil {
-		rt.policy = AlternatingStealPolicy{}
 	}
 	rt.idle.init()
 	rt.launchFn = rt.launchBatchBody

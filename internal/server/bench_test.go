@@ -7,7 +7,6 @@ import (
 
 	"batcher/internal/loadgen"
 	"batcher/internal/sched"
-	"batcher/internal/sched/policy"
 	"batcher/internal/server"
 )
 
@@ -68,66 +67,6 @@ func BenchmarkServerHighFanIn(b *testing.B) {
 				b.ReportMetric(float64(st.ReadSyscalls-before.ReadSyscalls)/n, "rsys/op")
 				b.ReportMetric(float64(st.WriteSyscalls-before.WriteSyscalls)/n, "wsys/op")
 			}
-		})
-	}
-}
-
-// BenchmarkServerPolicy sweeps the batch-formation policy at fixed
-// fan-in (64 pre-dialed connections, pipeline 16): the same serving
-// stack, only the launch decision changes. policy=default is the
-// regression anchor — the seam itself must be free, so its numbers
-// track BenchmarkServerHighFanIn/conns=64. The batch-size metric is the
-// policy's visible effect: size-cap trades it down for latency,
-// deadline trades it up.
-// Not covered by bench/: every workload there runs the default policy.
-func BenchmarkServerPolicy(b *testing.B) {
-	for _, name := range []string{"default", "size-cap", "deadline"} {
-		b.Run("policy="+name, func(b *testing.B) {
-			pol, err := policy.ByName(name, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := server.Start(server.Config{
-				Workers:  4,
-				Seed:     51,
-				QueueCap: 4096,
-				Policy:   pol,
-			})
-			if err != nil {
-				b.Fatalf("Start: %v", err)
-			}
-			defer s.Shutdown()
-			d, err := loadgen.NewDriver(loadgen.Workload{
-				Addr:     s.Addr().String(),
-				Conns:    64,
-				Pipeline: 16,
-				DS:       server.DSHashmap,
-				ReadFrac: 0.5,
-				KeySpace: 1 << 14,
-				Seed:     51,
-			})
-			if err != nil {
-				b.Fatalf("NewDriver: %v", err)
-			}
-			defer d.Close()
-			if _, err := d.Run(64 * 4); err != nil {
-				b.Fatalf("warmup: %v", err)
-			}
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := d.Run(b.N)
-			b.StopTimer()
-			if err != nil {
-				b.Fatalf("driver: %v", err)
-			}
-			if res.Errors != 0 {
-				b.Fatalf("%d ops rejected", res.Errors)
-			}
-			st := s.Snapshot()
-			b.ReportMetric(st.MeanBatch, "batch-size")
-			b.ReportMetric(res.OpsPerSec, "ops/s")
-			b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
 		})
 	}
 }

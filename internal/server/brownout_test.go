@@ -13,9 +13,7 @@ package server_test
 // Capacity is made deliberately tiny and known: slowBatched adds a
 // fixed sleep to every hashmap batch, so "10× capacity" is a few
 // thousand ops/s — reachable by the loadgen even on one CPU under
-// -race. The CI brownout job runs this file across the policy matrix
-// (BATCHERD_POLICY): the bound sits at the edge, in front of whatever
-// policy forms the batches.
+// -race.
 
 import (
 	"testing"
@@ -54,7 +52,6 @@ func brownoutServer(t *testing.T, shards int, slo, batchCost time.Duration) *ser
 		Seed:     1009,
 		QueueCap: brownoutQueueCap,
 		Window:   256,
-		Policy:   testPolicy(t),
 		SLO:      slo,
 		WrapDS: func(_ int, ds uint8, b sched.Batched) sched.Batched {
 			if ds == server.DSHashmap {

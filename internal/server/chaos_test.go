@@ -43,7 +43,6 @@ func TestChaosPanicIsolation(t *testing.T) {
 	s, err := server.Start(server.Config{
 		Workers: 4,
 		Seed:    77,
-		Policy:  testPolicy(t),
 		WrapDS: func(_ int, ds uint8, b sched.Batched) sched.Batched {
 			if ds == server.DSSkiplist {
 				panicker = &faultinject.Panicker{Inner: b, Poison: poison}
@@ -163,7 +162,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 // reads — and a full drain, completed == accepted + immediate, with
 // rejections and stats reads on the immediate side.
 func TestStatsBooksBalance(t *testing.T) {
-	s, err := server.Start(server.Config{Workers: 2, Seed: 11, Policy: testPolicy(t)})
+	s, err := server.Start(server.Config{Workers: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,6 @@ func TestChaosTornAndOversizedFrames(t *testing.T) {
 	s, err := server.Start(server.Config{
 		Workers:     2,
 		Seed:        13,
-		Policy:      testPolicy(t),
 		IdleTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -298,7 +296,6 @@ func TestChaosSlowloris(t *testing.T) {
 		Workers:           2,
 		Seed:              17,
 		Window:            8,
-		Policy:            testPolicy(t),
 		WriteStallTimeout: 150 * time.Millisecond,
 		DrainTimeout:      2 * time.Second,
 	})

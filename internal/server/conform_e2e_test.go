@@ -5,10 +5,8 @@ package server_test
 // phase, and afterwards every shard's always-on conformance monitor
 // must report the theory intact — Lemma 2 landings at most 2, zero
 // envelope violations, Theorem 5.4 headroom at most 1.0 — and the
-// books balance. The name's TestChaos prefix enrolls it in the CI chaos
-// matrix (ci.yml runs it under every BATCHERD_POLICY), so the
-// conformance claims are checked across the policy matrix, not just the
-// default launch rule.
+// books balance. The name's TestChaos prefix enrolls it in the chaos
+// suite (make chaos).
 
 import (
 	"testing"

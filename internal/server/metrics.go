@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"batcher/internal/obs"
-	"batcher/internal/sched"
 )
 
 // dsNames maps the wire ds codes 0..3 to metric label values.
@@ -65,20 +64,6 @@ func (s *Server) buildMetrics() {
 		})
 	reg.CounterFunc("batcherd_steals_total",
 		"successful scheduler steals (all shards)", nil, s.router.LiveSteals)
-
-	// Batch-formation policy: which one is installed (an info-style
-	// gauge, constant 1, name on the label) and why batches launched.
-	reg.GaugeFunc("batcherd_policy_info",
-		"installed batch-formation policy (constant 1; the policy label carries the name)",
-		[]obs.Label{{Name: "policy", Value: s.router.Shard(0).Runtime().Policy().Name()}},
-		func() float64 { return 1 })
-	for r := 1; r < sched.NumLaunchReasons; r++ {
-		reason := sched.LaunchReason(r)
-		reg.CounterFunc("batcherd_batch_launch_total",
-			"batches launched, by policy decision reason (all shards)",
-			[]obs.Label{{Name: "reason", Value: reason.String()}},
-			func() int64 { return s.router.LaunchReasons()[reason] })
-	}
 
 	reg.GaugeFunc("batcherd_workers",
 		"scheduler worker count per shard (P)", nil, func() float64 {

@@ -36,13 +36,6 @@ type Config struct {
 	// QueueCap bounds each shard's pump ingress queue (see
 	// sched.PumpConfig). Per shard: saturation is a per-shard condition.
 	QueueCap int
-	// Policy is the batch-formation policy installed on every shard's
-	// runtime (sched.BatchPolicy; see internal/sched/policy for the
-	// shipped competitors). Nil means the scheduler default — launch
-	// at once and top the batch up from the backlog. The chosen policy's
-	// name and per-reason launch counters appear in Snapshot and
-	// /metrics.
-	Policy sched.BatchPolicy
 	// Window bounds each connection's in-flight requests. The reader
 	// stops reading the socket while the window is full, so backpressure
 	// propagates to the client as TCP flow control. Defaults to 32.
@@ -279,7 +272,6 @@ func Start(cfg Config) (*Server, error) {
 		Workers:  cfg.Workers,
 		Seed:     cfg.Seed,
 		QueueCap: cfg.QueueCap,
-		Policy:   cfg.Policy,
 		NewDS: func(i int) []sched.Batched {
 			// Each shard gets its own structure instances, seeded
 			// distinctly (a shard is an independent batching domain, not

@@ -55,7 +55,6 @@ func TestChaosShardPoisonIsolation(t *testing.T) {
 		Workers: 2,
 		Seed:    79,
 		Shards:  shards,
-		Policy:  testPolicy(t),
 		WrapDS: func(sh int, ds uint8, b sched.Batched) sched.Batched {
 			if sh == 0 && ds == server.DSSkiplist {
 				panicker = &faultinject.Panicker{Inner: b, Poison: poison}
@@ -203,7 +202,6 @@ func TestShardedShutdownDrain(t *testing.T) {
 		Shards:   shards,
 		Window:   2,
 		QueueCap: 2,
-		Policy:   testPolicy(t),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -345,4 +343,52 @@ func TestShardedShutdownDrain(t *testing.T) {
 		t.Fatalf("%d connections survived shutdown", st.Conns)
 	}
 	t.Logf("drained %d counter ops across %d active shards, %d rejections", len(got), active, rejected)
+}
+
+// TestStatsOpsPerSecBasis checks that the stats document's global
+// OpsPerSec equals the per-shard sum exactly: both are computed from the
+// shard ledgers' pumped completions, which exclude Immediate responses
+// such as a stats read.
+func TestStatsOpsPerSecBasis(t *testing.T) {
+	s, err := server.Start(server.Config{Workers: 2, Shards: 2, Seed: 91})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	res, err := loadgen.Run(loadgen.Workload{
+		Addr:     s.Addr().String(),
+		Conns:    4,
+		Ops:      200,
+		Window:   8,
+		DS:       server.DSHashmap,
+		ReadFrac: 0.5,
+		KeySpace: 1 << 10,
+		Seed:     91,
+	})
+	if err != nil || res.Errors != 0 {
+		t.Fatalf("loadgen: err=%v rejected=%d", err, res.Errors)
+	}
+	cl, err := loadgen.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	s.Shutdown()
+
+	st := s.Snapshot()
+	var sum float64
+	var comp int64
+	for _, ss := range st.PerShard {
+		sum += ss.OpsPerSec
+		comp += ss.Completed
+	}
+	if math.Abs(sum-st.OpsPerSec) > 1e-9*math.Max(1, st.OpsPerSec) {
+		t.Fatalf("sum(per_shard ops_per_sec) = %v != global %v", sum, st.OpsPerSec)
+	}
+	if comp != st.Completed-st.Immediate {
+		t.Fatalf("shard ledgers total %d, want Completed-Immediate = %d",
+			comp, st.Completed-st.Immediate)
+	}
 }

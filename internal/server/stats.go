@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"batcher/internal/obs"
-	"batcher/internal/sched"
 )
 
 // Stats is the server's live metrics document, served as the payload of
@@ -81,14 +80,6 @@ type Stats struct {
 	// over the uptime. It is computed as the sum of the per-shard
 	// figures, so sum(PerShard[i].OpsPerSec) == OpsPerSec identically.
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// Policy is the batch-formation policy name every shard runtime
-	// runs (server.Config.Policy; "default" is the paper's behavior).
-	Policy string `json:"policy"`
-	// LaunchReasons counts launched batches by the policy decision that
-	// triggered each launch, summed across shards. Keys are
-	// sched.LaunchReasonNames values ("no-backlog", "batch-full",
-	// "deadline", ...); "hold" never appears (holds defer, not launch).
-	LaunchReasons map[string]int64 `json:"launch_reasons"`
 	// Batches and BatchedOps count executed batches and the operations
 	// they carried, summed across shards; MeanBatch is their ratio —
 	// the achieved batch size, the figure of merit for edge batching.
@@ -220,15 +211,6 @@ func (s *Server) Snapshot() Stats {
 		st.PerShard[i] = ss
 	}
 	st.AdmitSLONS = s.cfg.SLO.Nanoseconds()
-	st.Policy = s.router.Shard(0).Runtime().Policy().Name()
-	reasons := s.router.LaunchReasons()
-	st.LaunchReasons = make(map[string]int64, len(reasons)-1)
-	for r, n := range reasons {
-		if sched.LaunchReason(r) == sched.LaunchHold {
-			continue
-		}
-		st.LaunchReasons[sched.LaunchReasonNames[r]] = n
-	}
 	return st
 }
 

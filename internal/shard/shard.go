@@ -83,12 +83,6 @@ type Config struct {
 	// global: saturation is a per-shard condition). Zero means the
 	// pump's default, 8×P.
 	QueueCap int
-	// Policy is the batch-formation policy installed on every shard's
-	// runtime (policies are stateless values, safe to share). Nil means
-	// the scheduler default. Shards batch independently, so the policy
-	// acts per shard: a size cap counts one shard's trapped workers, a
-	// deadline watches one shard's pending array.
-	Policy sched.BatchPolicy
 	// NewDS builds shard i's structure set, indexed by the wire ds
 	// code. The router itself never interprets the structures — it only
 	// stores and serves them — so the serving layer keeps sole
@@ -174,7 +168,6 @@ func NewRouter(cfg Config) *Router {
 		sh.rt = sched.New(sched.Config{
 			Workers: cfg.Workers,
 			Seed:    cfg.Seed + uint64(i),
-			Policy:  cfg.Policy,
 		})
 		if cfg.NewDS != nil {
 			sh.ds = cfg.NewDS(i)
@@ -277,16 +270,4 @@ func (r *Router) LiveSteals() int64 {
 		n += sh.rt.LiveSteals()
 	}
 	return n
-}
-
-// LaunchReasons sums per-reason batch-launch counts across shards (see
-// sched.Runtime.LaunchReasons). Readable while serving.
-func (r *Router) LaunchReasons() (counts [sched.NumLaunchReasons]int64) {
-	for _, sh := range r.shards {
-		c := sh.rt.LaunchReasons()
-		for i, v := range c {
-			counts[i] += v
-		}
-	}
-	return counts
 }
