@@ -45,12 +45,13 @@
 //	    making the reactor's flat per-op cost visible from the shell.
 //
 //	batcherd stats [-addr host:7411]
-//	    Fetch and print the server's stats document: aggregated totals
+//	    Fetch and print the server's stats document (server.Stats.Render,
+//	    the renderer batcherlab watch repaints): aggregated totals
 //	    (including the admission ledger — offered/shed/SLO — and the
-//	    live Theorem 5.4 conformance gauges), and — when the server runs
-//	    sharded or with -slo — a per-shard table (accepted, offered,
-//	    ops/s, shed, batches, mean batch, queue depth, admission limit
-//	    and measured rate, headroom, max landings, faults).
+//	    live Theorem 5.4 conformance gauges), and a per-shard table
+//	    (accepted, offered, ops/s, shed, batches, mean batch, queue
+//	    depth, admission limit and measured rate, measured p999,
+//	    headroom, max landings, faults).
 package main
 
 import (
@@ -372,38 +373,5 @@ func printStats(addr string) {
 		fmt.Fprintf(os.Stderr, "batcherd: stats: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("server: shards=%d P=%d uptime=%.1fs conns=%d\n", st.Shards, st.Workers, st.UptimeSec, st.Conns)
-	fmt.Printf("ops:    accepted=%d rejected=%d completed=%d (%.0f ops/s)\n",
-		st.Accepted, st.Rejected, st.Completed, st.OpsPerSec)
-	fmt.Printf("batch:  %d batches, %d ops, mean size %.2f, queue depth %d\n",
-		st.Batches, st.BatchedOps, st.MeanBatch, st.QueueDepth)
-	fmt.Printf("faults: failed=%d batch_panics=%d decode_errors=%d evictions=%d\n",
-		st.Failed, st.BatchPanics, st.DecodeErrors, st.Evictions)
-	if st.BatchedOps > 0 && st.ReadSyscalls > 0 && st.WriteSyscalls > 0 {
-		fmt.Printf("edge:   %d reactor loops, %d reads, %d writes (%.1f ops/read, %.1f ops/write)\n",
-			st.ReactorLoops, st.ReadSyscalls, st.WriteSyscalls,
-			float64(st.BatchedOps)/float64(st.ReadSyscalls),
-			float64(st.BatchedOps)/float64(st.WriteSyscalls))
-	}
-	slo := "off"
-	if st.AdmitSLONS > 0 {
-		slo = time.Duration(st.AdmitSLONS).String()
-	}
-	fmt.Printf("admit:  offered=%d shed=%d slo=%s\n", st.Offered, st.Shed, slo)
-	fmt.Printf("bound:  headroom=%.3f max_landings=%d (Theorem 5.4 envelope; >1 / >2 break the guarantees)\n",
-		st.ConformHeadroom, st.ConformMaxLandings)
-	if len(st.PerShard) > 1 || st.AdmitSLONS > 0 {
-		// limit is the admission backlog bound in ops (0 = unlimited) and
-		// rate the measured completion rate it is derived from.
-		fmt.Printf("%6s %10s %10s %10s %7s %8s %8s %10s %7s %9s %9s %6s %7s %7s\n",
-			"shard", "accepted", "offered", "ops/s", "shed", "batches", "mean",
-			"queue", "limit", "rate/s", "headroom", "lands", "failed", "panics")
-		for _, sh := range st.PerShard {
-			fmt.Printf("%6d %10d %10d %10.0f %7d %8d %8.2f %10d %7d %9.0f %9.3f %6d %7d %7d\n",
-				sh.Shard, sh.Accepted, sh.Offered, sh.OpsPerSec, sh.Shed,
-				sh.Batches, sh.MeanBatch, sh.QueueDepth,
-				sh.AdmitLimit, sh.AdmitRatePerSec, sh.Conformance.Headroom,
-				sh.Conformance.MaxLandings, sh.Failed, sh.BatchPanics)
-		}
-	}
+	st.Render(os.Stdout, nil, 0)
 }

@@ -39,10 +39,11 @@ func (r auditRow) bound() int64 { return 2 * (r.conf.SpanMaxNS + r.conf.GapMaxNS
 // numbers read after the publish, so a descheduled worker cannot fail it.
 func (r auditRow) verdictLemma2() bool { return r.conf.MaxLandings <= 2 && r.conf.Violations == 0 }
 
-// verdictDelay is reported, not gated: the pending stamp is read before
-// the publish (Batchify), so on an oversubscribed host a descheduled
-// worker presents a stamp older than its wait and the ratio overshoots
-// with Lemma 2 intact. The monitor reports it as measured.
+// verdictDelay is reported, not gated: Batchify reads the pending stamp
+// after the publish, but a fresh runtime's first batch has no previous
+// landing, so its gap is 0 while its delay holds the workers' start-up,
+// and the ratio can overshoot with Lemma 2 intact. The monitor reports
+// it as measured.
 func (r auditRow) verdictDelay() bool { return r.conf.Headroom <= 1 }
 
 // auditOne runs n operations against one structure with a conformance

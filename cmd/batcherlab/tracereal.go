@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"batcher/internal/ds/skiplist"
 	"batcher/internal/obs"
@@ -28,8 +29,9 @@ func traceRealChrome(path string, workers int, seed uint64, quick bool) error {
 	rt := sched.New(sched.Config{Workers: workers, Seed: seed})
 	tr := rt.NewTracer(1 << 16)
 	rt.SetTracer(tr)
-	hist := obs.NewHistogram()
-	rt.SetBatchSizeHistogram(hist)
+	conf := obs.NewConform(time.Hour)
+	rt.SetConformance(conf)
+	hist := conf.BatchSizes()
 
 	sl := skiplist.NewBatched(seed)
 	n := calls * recordsPer

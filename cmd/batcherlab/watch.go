@@ -2,7 +2,8 @@ package main
 
 // batcherlab watch — a polling terminal dashboard for a running
 // batcherd. Each frame renders one source, the server's live stats
-// document (a DSStats request over the serving port): ops/s, batching,
+// document (a DSStats request over the serving port), with the same
+// server.Stats.Render that `batcherd stats` prints: ops/s, batching,
 // queue depths, each shard's admission limit and measured p999, and the
 // conformance gauges. The Theorem 5.4 envelope is a live claim, and
 // watch shows whether reality is honoring it right now.
@@ -10,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -39,7 +39,7 @@ func watchCmd(args []string) {
 			// Home the cursor and clear: repaint in place, no scrollback spam.
 			fmt.Print("\x1b[H\x1b[2J")
 		}
-		renderWatch(os.Stdout, st, prev, dt)
+		st.Render(os.Stdout, prev, dt)
 		if *once {
 			return
 		}
@@ -59,56 +59,4 @@ func fetchStats(addr string) (server.Stats, error) {
 	}
 	defer c.Close()
 	return c.Stats()
-}
-
-// renderWatch paints one dashboard frame. prev is the previous frame's
-// stats (nil on the first frame): with it, ops/s and shed/s are exact
-// interval rates; without it they fall back to lifetime averages.
-func renderWatch(w io.Writer, st server.Stats, prev *server.Stats, dt float64) {
-	slo := "off"
-	if st.AdmitSLONS > 0 {
-		slo = time.Duration(st.AdmitSLONS).String()
-	}
-	opsRate := st.OpsPerSec
-	shedRate := 0.0
-	if st.UptimeSec > 0 {
-		shedRate = float64(st.Shed) / st.UptimeSec
-	}
-	if prev != nil && dt > 0 {
-		opsRate = float64(sumCompleted(st)-sumCompleted(*prev)) / dt
-		shedRate = float64(st.Shed-prev.Shed) / dt
-	}
-	fmt.Fprintf(w, "batcherd %s  up %s  conns %d  slo %s\n",
-		time.Now().Format("15:04:05"),
-		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second),
-		st.Conns, slo)
-	fmt.Fprintf(w, "ops/s %.0f  mean_batch %.2f  queue %d  shed/s %.1f  headroom %.3f  max_landings %d\n",
-		opsRate, st.MeanBatch, st.QueueDepth, shedRate,
-		st.ConformHeadroom, st.ConformMaxLandings)
-	// limit is the admission backlog bound in ops (0 = unlimited).
-	fmt.Fprintf(w, "%6s %10s %8s %7s %7s %12s %9s %6s %9s\n",
-		"shard", "ops/s", "mean", "queue", "limit", "meas_p999", "headroom", "lands", "shed/s")
-	for i, ss := range st.PerShard {
-		shardOps := ss.OpsPerSec
-		shardShed := 0.0
-		if st.UptimeSec > 0 {
-			shardShed = float64(ss.Shed) / st.UptimeSec
-		}
-		if prev != nil && dt > 0 && i < len(prev.PerShard) {
-			shardOps = float64(ss.Completed-prev.PerShard[i].Completed) / dt
-			shardShed = float64(ss.Shed-prev.PerShard[i].Shed) / dt
-		}
-		fmt.Fprintf(w, "%6d %10.0f %8.2f %7d %7d %12s %9.3f %6d %9.1f\n",
-			ss.Shard, shardOps, ss.MeanBatch, ss.QueueDepth,
-			ss.AdmitLimit, fmtNS(ss.MeasuredP999NS),
-			ss.Conformance.Headroom, ss.Conformance.MaxLandings, shardShed)
-	}
-}
-
-func sumCompleted(st server.Stats) int64 {
-	var n int64
-	for _, ss := range st.PerShard {
-		n += ss.Completed
-	}
-	return n
 }

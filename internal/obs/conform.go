@@ -78,9 +78,15 @@ func raise(a *atomic.Int64, v int64) {
 
 // Conform is a per-runtime live conformance monitor. A nil monitor
 // ignores every call. Create with NewConform and attach with
-// sched.Runtime.SetConformance.
+// sched.Runtime.SetConformance, which also turns on the runtime's
+// op-lifecycle phase stamping: the monitor is the one observer of a
+// landed batch.
 type Conform struct {
 	window int64 // rotation period, ns
+
+	// sizes receives every observed batch's size, so its Count and Sum
+	// equal the runtime's LiveBatchStats batches and ops exactly.
+	sizes *Histogram
 
 	// Writer-only state (the launch body, serialized by Invariant 1).
 	prevLand int64 // land stamp of the previous batch, 0 before the first
@@ -102,16 +108,17 @@ func NewConform(window time.Duration) *Conform {
 	if window <= 0 {
 		window = 10 * time.Second
 	}
-	return &Conform{window: int64(window)}
+	return &Conform{window: int64(window), sizes: NewHistogram()}
 }
 
 // RecordBatch observes one landed batch: its launch and land stamps
 // (obs.Now nanoseconds), the minimum pending-publish stamp among its
 // ops, the most batch landings any of its ops was pending through
-// (this one included), and its size. Called by the scheduler's launch
-// body after the batch's ops have landed; allocation-free and
-// wait-free (no locks, no CAS loops — the single writer only ever
-// load/stores).
+// (this one included), and its size, which BatchSizes observes.
+// Called by the scheduler's launch body after the batch's ops have
+// landed; allocation-free and lock-free (the gauges are single-writer
+// load/stores; the histogram's min/max CAS loops never contend, since
+// the launch body is their only writer).
 func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS, landings int64, size int) {
 	if m == nil || size <= 0 {
 		return
@@ -149,6 +156,7 @@ func (m *Conform) RecordBatch(launchNS, landNS, minPendingNS, landings int64, si
 	raise(&m.cur.landings, landings)
 	m.cur.batches.Add(1)
 	m.batches.Add(1)
+	m.sizes.Observe(int64(size))
 	if landings > 2 {
 		m.violations.Add(1)
 	}
@@ -207,6 +215,15 @@ func (m *Conform) Batches() int64 {
 		return 0
 	}
 	return m.batches.Load()
+}
+
+// BatchSizes returns the histogram of observed batch sizes (lifetime,
+// not windowed), or nil for a nil monitor.
+func (m *Conform) BatchSizes() *Histogram {
+	if m == nil {
+		return nil
+	}
+	return m.sizes
 }
 
 // Violations returns the lifetime number of batches whose landings

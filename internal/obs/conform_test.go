@@ -51,6 +51,9 @@ func TestConformBasic(t *testing.T) {
 	if got := m.Batches(); got != 2 {
 		t.Fatalf("batches = %d, want 2", got)
 	}
+	if h := m.BatchSizes(); h.Count() != 2 || h.Sum() != 5 {
+		t.Fatalf("batch sizes count/sum = %d/%d, want 2/5", h.Count(), h.Sum())
+	}
 
 	// Headroom: delayMax 200 over 2*(span 100 + gap 50) = 300.
 	if got, want := m.Headroom(), 200.0/300.0; got != want {
@@ -125,7 +128,7 @@ func TestConformNil(t *testing.T) {
 	m.RecordBatch(1, 2, 0, 1, 1)
 	if m.SpanMaxNS() != 0 || m.GapMaxNS() != 0 || m.DelayMaxNS() != 0 ||
 		m.MaxLandings() != 0 || m.Batches() != 0 || m.Violations() != 0 ||
-		m.Headroom() != 0 {
+		m.Headroom() != 0 || m.BatchSizes() != nil {
 		t.Fatal("nil monitor returned nonzero gauges")
 	}
 	if (m.Snapshot() != ConformSnapshot{}) {

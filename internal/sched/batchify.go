@@ -49,18 +49,18 @@ type OpRecord struct {
 	Aux any
 
 	// Phases is the op-lifecycle stamp vector (obs.PhaseRead ..
-	// obs.PhaseDone), written only when Runtime.SetPhaseStamps enabled
-	// stamping. Ownership is by slot: the submitter writes PhaseRead
-	// before Submit/Batchify, Pump.Submit writes PhaseAdmit (under the
-	// queue mutex), the scheduler writes PhasePending/PhaseLaunch/
-	// PhaseLand while the op is in flight, and the completion owner
-	// writes PhaseDone. A fixed array keeps the stamping
-	// allocation-free; slots a path never crosses simply stay stale and
-	// are clamped out by obs.PhaseDurations.
+	// obs.PhaseDone), written only while a batch monitor is attached
+	// (Runtime.SetConformance). Ownership is by slot: the submitter
+	// writes PhaseRead before Submit/Batchify, Pump.Submit writes
+	// PhaseAdmit (under the queue mutex), the scheduler writes
+	// PhasePending/PhaseLaunch/PhaseLand while the op is in flight, and
+	// the completion owner writes PhaseDone. A fixed array keeps the
+	// stamping allocation-free; slots a path never crosses simply stay
+	// stale and are clamped out by obs.PhaseDurations.
 	Phases [obs.NumPhases]int64
 	// BatchSize and BatchGroup identify the batch that landed this op:
 	// the working-set size and the op's group index within it. Written
-	// with PhaseLand, under the same enablement.
+	// with PhaseLand, under the same condition.
 	BatchSize  int32
 	BatchGroup int32
 
@@ -105,26 +105,26 @@ func (c *Ctx) Batchify(op *OpRecord) {
 	rt := w.rt
 	op.worker = int32(w.id)
 	op.Err = nil // the scheduler owns Err until the operation completes
-	if rt.stampPhases {
-		op.Phases[obs.PhasePending] = obs.Now()
-	}
 
 	// Publish the record, then the status. Both stores are sequentially
 	// consistent, so a launcher that observes status==pending also
-	// observes the record. With a conformance monitor attached, the
-	// slot's stamp and its landed-batch count (the Theorem 5.4 delay and
-	// Lemma 2 gauges) are read only *after* the publish: a worker
-	// descheduled mid-publish is then never charged delay or landings it
-	// was not pending for. Until those reads land both hold MaxInt64,
-	// which a launcher reads as "pending since my own batch".
+	// observes the record (and its PhasePending stamp). With a monitor
+	// attached, the slot's stamp and its landed-batch count (the
+	// Theorem 5.4 delay and Lemma 2 gauges) are read only *after* the
+	// publish: a worker descheduled mid-publish is then never charged
+	// delay or landings it was not pending for. Until those reads land
+	// both hold MaxInt64, which a launcher reads as "pending since my
+	// own batch".
 	slot := &rt.pending[w.id]
-	if rt.conform != nil {
+	monitored := rt.conform != nil
+	if monitored {
+		op.Phases[obs.PhasePending] = obs.Now()
 		slot.stamp.Store(math.MaxInt64)
 		slot.seq.Store(math.MaxInt64)
 	}
 	slot.rec.Store(op)
 	w.status.Store(int32(StatusPending))
-	if rt.conform != nil {
+	if monitored {
 		slot.stamp.Store(obs.Now())
 		slot.seq.Store(rt.liveBatches.Load())
 	}
@@ -283,10 +283,8 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		panic("sched: Invariant 2 violated: batch larger than P")
 	}
 	var launchNS int64
-	if rt.stampPhases || rt.conform != nil {
+	if rt.conform != nil {
 		launchNS = obs.Now()
-	}
-	if rt.stampPhases {
 		for i, op := range working {
 			op.Phases[obs.PhaseLaunch] = launchNS
 			if i >= trapped {
@@ -315,16 +313,18 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		s.markPanickedGroups()
 	}
 
-	// Phase stamps: land the batch on every participant now, before
-	// step 4 flips statuses — a participant that observes done must also
-	// observe its stamps (the same ordering rule as Err above). One
+	// Batch monitor: land the batch on every participant now, before
+	// step 4 flips statuses — a participant that observes done must
+	// also observe its stamps (the same ordering rule as Err above), and
+	// each participant's pending slot still describes this batch's
+	// publish (a worker cannot republish until it observes done). One
 	// clock read serves the whole batch; the group scan also records
-	// which batch each op rode in.
-	var landNS int64
-	if rt.stampPhases || rt.conform != nil {
-		landNS = obs.Now()
-	}
-	if rt.stampPhases {
+	// which batch each op rode in. A slot still holding Batchify's
+	// MaxInt64 sentinel drops out of both min()s, i.e. counts as pending
+	// since this launch. Riders have no slot: they became pending at
+	// launch, one landing ago.
+	if m := rt.conform; m != nil {
+		landNS := obs.Now()
 		size := int32(len(working))
 		for gi := range s.groups {
 			for _, op := range s.groups[gi].ops {
@@ -333,17 +333,6 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 				op.BatchGroup = int32(gi)
 			}
 		}
-	}
-
-	// Live conformance: feed the envelope monitor before step 4 flips
-	// statuses, while each participant's pending slot still describes
-	// this batch's publish (a worker cannot republish until it observes
-	// done). The slot stamps are Batchify's own, so the monitor needs no
-	// phase stamping; a slot still holding Batchify's MaxInt64 sentinel
-	// drops out of both min()s, i.e. counts as pending since this
-	// launch. Riders have no slot: they became pending at launch, one
-	// landing ago.
-	if m := rt.conform; m != nil {
 		landed := rt.liveBatches.Load() // batches before this one
 		minPending, minSeq := launchNS, landed
 		for _, op := range working[:trapped] {
@@ -359,9 +348,6 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 	c.w.m.BatchedOps += int64(len(working))
 	rt.liveBatches.Add(1)
 	rt.liveOps.Add(int64(len(working)))
-	if h := rt.batchHist; h != nil {
-		h.Observe(int64(len(working)))
-	}
 	if tr := rt.tracer; tr != nil {
 		dur := int64(time.Since(t0))
 		if dur < 1 {

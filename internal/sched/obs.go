@@ -1,11 +1,12 @@
 package sched
 
 // This file wires the runtime into the observability layer
-// (internal/obs). All hooks follow one discipline: a nil-guarded
-// pointer read on the hot path, so a runtime with observability
-// disabled pays a single predictable branch per event site and
-// allocates nothing (the AllocsPerRun tests in alloc_test.go and
-// obs_test.go pin both configurations). See DESIGN.md §10.
+// (internal/obs) through two hooks, the event tracer and the batch
+// monitor. Both follow one discipline: a nil-guarded pointer read on
+// the hot path, so a runtime with observability detached pays a single
+// predictable branch per event site, and neither allocates when
+// attached (alloc_test.go pins the detached round trip, obs_test.go and
+// pump_test.go the fully attached one). See DESIGN.md §10.
 //
 // Event-to-ring mapping: worker i records on ring i; events produced
 // off the workers (Pump.Submit runs on network-reader goroutines) go to
@@ -36,57 +37,23 @@ func (rt *Runtime) SetTracer(tr *obs.Tracer) {
 	rt.tracer = tr
 }
 
-// Tracer returns the attached tracer, or nil.
-func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
-
-// SetBatchSizeHistogram attaches (or detaches) a histogram that
-// receives one observation — the working-set size — per executed
-// nonempty batch. Its Mean therefore equals BatchedOps/BatchesExecuted
-// exactly, the quantity LiveBatchStats reports, while its quantiles
-// expose the full batch-size distribution Theorem 1's s-term depends
-// on. Call only while no Run or Serve is in progress.
-func (rt *Runtime) SetBatchSizeHistogram(h *obs.Histogram) {
-	if rt.running.Load() {
-		panic("sched: SetBatchSizeHistogram called during Run")
-	}
-	rt.batchHist = h
-}
-
-// SetConformance attaches (or, with nil, detaches) a live conformance
-// monitor: LaunchBatch feeds it one RecordBatch per executed nonempty
-// batch — launch and land stamps, the minimum pending-publish stamp
-// among the batch's ops (read from the pending-array slot stamps, so
-// the monitor works with phase stamping off), and the working-set
-// size. The monitor maintains the windowed Theorem 5.4 envelope terms
-// and the Lemma 2 landings count; see obs.Conform. Call only while no
-// Run or Serve is in progress; workers read the pointer
-// unsynchronized.
+// SetConformance attaches (or, with nil, detaches) the batch monitor:
+// LaunchBatch feeds it one RecordBatch per executed nonempty batch —
+// launch and land stamps, the minimum pending-publish stamp and the
+// landed-batch count among the batch's ops (read from the pending-array
+// slots), and the working-set size, which the monitor's BatchSizes
+// histogram observes. While a monitor is attached the scheduler also
+// stamps op lifecycle phases: Batchify writes obs.PhasePending,
+// Pump.Submit obs.PhaseAdmit, and LaunchBatch obs.PhaseLaunch and
+// obs.PhaseLand plus the landing batch's size and group index into
+// every OpRecord it handles. Call only while no Run or Serve is in
+// progress; workers read the pointer unsynchronized.
 func (rt *Runtime) SetConformance(m *obs.Conform) {
 	if rt.running.Load() {
 		panic("sched: SetConformance called during Run")
 	}
 	rt.conform = m
 }
-
-// Conformance returns the attached conformance monitor, or nil.
-func (rt *Runtime) Conformance() *obs.Conform { return rt.conform }
-
-// SetPhaseStamps enables (or disables) op-lifecycle phase stamping:
-// while on, Batchify stamps obs.PhasePending and LaunchBatch stamps
-// obs.PhaseLaunch and obs.PhaseLand — plus the landing batch's size and
-// group index — into every OpRecord it handles, using the monotonic
-// obs.Now clock. Submitting layers own the remaining slots (PhaseRead,
-// PhaseAdmit, PhaseDone). Call only while no Run or Serve is in
-// progress; workers read the flag unsynchronized.
-func (rt *Runtime) SetPhaseStamps(on bool) {
-	if rt.running.Load() {
-		panic("sched: SetPhaseStamps called during Run")
-	}
-	rt.stampPhases = on
-}
-
-// PhaseStamps reports whether phase stamping is enabled.
-func (rt *Runtime) PhaseStamps() bool { return rt.stampPhases }
 
 // LiveSteals returns the number of successful steals over the runtime's
 // lifetime. Like LiveBatchStats it is an atomic maintained on the steal

@@ -8,16 +8,13 @@ import (
 	"batcher/internal/obs"
 )
 
-// TestTracedRunEmitsEvents drives a batching workload with a tracer and
-// batch-size histogram attached and checks the observability contract:
-// launch/land events appear, and the histogram agrees exactly with the
-// LiveBatchStats counters (same increment sites).
+// TestTracedRunEmitsEvents drives a batching workload with a tracer
+// attached and checks the tracing contract: launch/land events appear,
+// one land per executed batch, with sizes summing to the op count.
 func TestTracedRunEmitsEvents(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 801})
 	tr := rt.NewTracer(4096)
 	rt.SetTracer(tr)
-	h := obs.NewHistogram()
-	rt.SetBatchSizeHistogram(h)
 
 	ds := &sumDS{}
 	const n = 500
@@ -60,14 +57,6 @@ func TestTracedRunEmitsEvents(t *testing.T) {
 	}
 	if sized != ops {
 		t.Fatalf("land event sizes sum to %d, want %d", sized, ops)
-	}
-
-	// Histogram and LiveBatchStats are bumped at the same site with the
-	// same values, so they agree exactly — the /metrics mean is the
-	// LiveBatchStats mean.
-	if h.Count() != batches || h.Sum() != ops {
-		t.Fatalf("batch histogram %d/%d disagrees with LiveBatchStats %d/%d",
-			h.Count(), h.Sum(), batches, ops)
 	}
 	if rt.LiveSteals() < 0 {
 		t.Fatal("LiveSteals negative")
@@ -194,24 +183,15 @@ func TestSetTracerDuringRunPanics(t *testing.T) {
 		}()
 		rt.SetTracer(rt.NewTracer(64))
 	})
-	rt2 := New(Config{Workers: 1, Seed: 806})
-	rt2.Run(func(c *Ctx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetBatchSizeHistogram during Run did not panic")
-			}
-		}()
-		rt2.SetBatchSizeHistogram(obs.NewHistogram())
-	})
 }
 
 // TestConformanceLiveRun attaches the live conformance monitor to a
 // real batching run and checks the paper's guarantees on its gauges:
 // every batch was observed, no op's wait saw more than Lemma 2's two
 // landings, and the measured batch-delay max stayed inside the
-// Theorem 5.4 envelope (headroom <= 1). The monitor needs no phase
-// stamping — it reads the unconditional pending-slot stamps — so this
-// run leaves stamping off deliberately.
+// Theorem 5.4 envelope (headroom <= 1). Its batch-size histogram and
+// LiveBatchStats count the same batches with the same sizes, so they
+// agree exactly — the /metrics batch-size mean is the stats mean.
 func TestConformanceLiveRun(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 808})
 	m := obs.NewConform(time.Hour)
@@ -231,6 +211,10 @@ func TestConformanceLiveRun(t *testing.T) {
 	if got := m.Batches(); got != batches {
 		t.Fatalf("monitor saw %d batches, runtime executed %d", got, batches)
 	}
+	if h := m.BatchSizes(); h.Count() != batches || h.Sum() != ops {
+		t.Fatalf("batch histogram %d/%d disagrees with LiveBatchStats %d/%d",
+			h.Count(), h.Sum(), batches, ops)
+	}
 	if got := m.MaxLandings(); got < 1 || got > 2 {
 		t.Fatalf("max landings = %d, want 1..2 (Lemma 2)", got)
 	}
@@ -242,9 +226,6 @@ func TestConformanceLiveRun(t *testing.T) {
 	}
 	if m.DelayMaxNS() <= 0 || m.SpanMaxNS() <= 0 {
 		t.Fatalf("degenerate gauges: delay=%d span=%d", m.DelayMaxNS(), m.SpanMaxNS())
-	}
-	if rt.Conformance() != m {
-		t.Fatal("Conformance() did not return the attached monitor")
 	}
 }
 
@@ -262,54 +243,11 @@ func TestSetConformanceDuringRunPanics(t *testing.T) {
 	})
 }
 
-// TestBatchifyZeroAllocsTraced is the enabled-path twin of
-// TestBatchifyRoundTripZeroAllocs: tracing and the batch-size histogram
-// are preallocated, so even with observability ON the round trip must
-// not allocate.
-func TestBatchifyZeroAllocsTraced(t *testing.T) {
-	skipIfRace(t)
-	h := &allocHarness{
-		jobs:    make(chan func(*Ctx)),
-		jobDone: make(chan struct{}),
-		runDone: make(chan struct{}),
-	}
-	rt := New(Config{Workers: 1, Seed: 807})
-	rt.SetTracer(rt.NewTracer(1024))
-	rt.SetBatchSizeHistogram(obs.NewHistogram())
-	go func() {
-		defer close(h.runDone)
-		rt.Run(func(c *Ctx) {
-			for f := range h.jobs {
-				f(c)
-				h.jobDone <- struct{}{}
-			}
-		})
-	}()
-	t.Cleanup(func() {
-		close(h.jobs)
-		<-h.runDone
-	})
-	ds := &allocFreeDS{}
-	var got float64
-	h.do(func(c *Ctx) {
-		op := c.Op()
-		*op = OpRecord{DS: ds, Val: 1}
-		c.Batchify(op)
-		got = testing.AllocsPerRun(200, func() {
-			op := c.Op()
-			*op = OpRecord{DS: ds, Val: 1}
-			c.Batchify(op)
-		})
-	})
-	if got != 0 {
-		t.Fatalf("traced Batchify+LaunchBatch allocates %v objects/op, want 0", got)
-	}
-}
-
-// TestBatchifyZeroAllocsConform pins the conformance monitor's cost
-// contract: with the monitor attached (alongside tracing, the batch
-// histogram, and phase stamping — the full serving configuration) the
-// Batchify+LaunchBatch round trip still allocates nothing.
+// TestBatchifyZeroAllocsConform is the all-attached twin of
+// TestBatchifyRoundTripZeroAllocs: with both hooks attached — the
+// tracer and the batch monitor, which brings its batch-size histogram
+// and phase stamping — the Batchify+LaunchBatch round trip still
+// allocates nothing.
 func TestBatchifyZeroAllocsConform(t *testing.T) {
 	skipIfRace(t)
 	h := &allocHarness{
@@ -318,9 +256,8 @@ func TestBatchifyZeroAllocsConform(t *testing.T) {
 		runDone: make(chan struct{}),
 	}
 	rt := New(Config{Workers: 1, Seed: 810})
-	rt.SetTracer(rt.NewTracer(1024))
-	rt.SetBatchSizeHistogram(obs.NewHistogram())
-	rt.SetPhaseStamps(true)
+	tr := rt.NewTracer(1024)
+	rt.SetTracer(tr)
 	m := obs.NewConform(time.Hour)
 	rt.SetConformance(m)
 	go func() {
@@ -338,20 +275,29 @@ func TestBatchifyZeroAllocsConform(t *testing.T) {
 	})
 	ds := &allocFreeDS{}
 	var got float64
+	var stamped bool
 	h.do(func(c *Ctx) {
 		op := c.Op()
 		*op = OpRecord{DS: ds, Val: 1}
 		c.Batchify(op)
+		stamped = op.Phases[obs.PhaseLand] > 0
 		got = testing.AllocsPerRun(200, func() {
 			op := c.Op()
 			*op = OpRecord{DS: ds, Val: 1}
 			c.Batchify(op)
 		})
 	})
+	if !stamped {
+		t.Fatal("the attached monitor did not turn on phase stamping")
+	}
 	if got != 0 {
 		t.Fatalf("conform-monitored Batchify+LaunchBatch allocates %v objects/op, want 0", got)
 	}
-	if m.Batches() == 0 {
-		t.Fatal("monitor recorded no batches during the alloc pin")
+	if m.Batches() == 0 || m.BatchSizes().Count() != m.Batches() {
+		t.Fatalf("monitor recorded %d batches, %d batch sizes during the alloc pin",
+			m.Batches(), m.BatchSizes().Count())
+	}
+	if obs.CountKinds(tr.Snapshot())[obs.EvBatchLand] == 0 {
+		t.Fatal("tracer recorded no landings during the alloc pin")
 	}
 }

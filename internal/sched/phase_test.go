@@ -2,62 +2,18 @@ package sched
 
 import (
 	"testing"
+	"time"
 
 	"batcher/internal/obs"
 )
 
-// TestBatchifyZeroAllocsPhased is the phase-stamping twin of
-// TestBatchifyRoundTripZeroAllocs: with SetPhaseStamps(true) a Batchify
-// round trip must still allocate nothing — stamping is one clock read
-// and one array store per boundary into the record's fixed vector.
-func TestBatchifyZeroAllocsPhased(t *testing.T) {
-	skipIfRace(t)
-	h := &allocHarness{
-		jobs:    make(chan func(*Ctx)),
-		jobDone: make(chan struct{}),
-		runDone: make(chan struct{}),
-	}
-	rt := New(Config{Workers: 1, Seed: 811})
-	rt.SetPhaseStamps(true)
-	go func() {
-		defer close(h.runDone)
-		rt.Run(func(c *Ctx) {
-			for f := range h.jobs {
-				f(c)
-				h.jobDone <- struct{}{}
-			}
-		})
-	}()
-	t.Cleanup(func() {
-		close(h.jobs)
-		<-h.runDone
-	})
-	ds := &allocFreeDS{}
-	var got float64
-	h.do(func(c *Ctx) {
-		op := c.Op()
-		*op = OpRecord{DS: ds, Val: 1}
-		c.Batchify(op)
-		got = testing.AllocsPerRun(200, func() {
-			op := c.Op()
-			*op = OpRecord{DS: ds, Val: 1}
-			c.Batchify(op)
-		})
-	})
-	if got != 0 {
-		t.Fatalf("phased Batchify+LaunchBatch allocates %v objects/op, want 0", got)
-	}
-	if ds.total == 0 {
-		t.Fatal("batched operations did not run")
-	}
-}
-
-// TestPhaseStampsWritten checks the scheduler-owned stamp slots: every
-// Batchify'd record comes back with Pending <= Launch <= Land all
-// positive, and the batch bookkeeping (size, group) filled in.
+// TestPhaseStampsWritten checks the scheduler-owned stamp slots: with a
+// monitor attached, every Batchify'd record comes back with Pending <=
+// Launch <= Land all positive, and the batch bookkeeping (size, group)
+// filled in.
 func TestPhaseStampsWritten(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 813})
-	rt.SetPhaseStamps(true)
+	rt.SetConformance(obs.NewConform(time.Hour))
 	ds := &allocFreeDS{}
 	const n = 256
 	recs := make([]OpRecord, n)
@@ -87,8 +43,8 @@ func TestPhaseStampsWritten(t *testing.T) {
 	}
 }
 
-// TestPhaseStampsOffLeavesRecordsAlone pins the disabled path: without
-// SetPhaseStamps the scheduler must not touch the stamp slots (the
+// TestPhaseStampsOffLeavesRecordsAlone pins the detached path: with no
+// monitor attached the scheduler must not touch the stamp slots (the
 // default for embedded fork-join use, where records may live in caller
 // memory the scheduler has no business writing).
 func TestPhaseStampsOffLeavesRecordsAlone(t *testing.T) {
@@ -108,25 +64,5 @@ func TestPhaseStampsOffLeavesRecordsAlone(t *testing.T) {
 		if recs[i].Phases != ([obs.NumPhases]int64{}) {
 			t.Fatalf("op %d: stamps written with stamping off: %v", i, recs[i].Phases)
 		}
-	}
-}
-
-// TestSetPhaseStampsPanicsWhileRunning pins the quiescence rule, same
-// as SetTracer's.
-func TestSetPhaseStampsPanicsWhileRunning(t *testing.T) {
-	rt := New(Config{Workers: 1, Seed: 819})
-	done := make(chan struct{})
-	rt.Run(func(c *Ctx) {
-		defer close(done)
-		defer func() {
-			if recover() == nil {
-				t.Error("SetPhaseStamps during Run did not panic")
-			}
-		}()
-		rt.SetPhaseStamps(true)
-	})
-	<-done
-	if !rt.PhaseStamps() {
-		rt.SetPhaseStamps(true) // quiescent: must not panic
 	}
 }

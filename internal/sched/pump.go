@@ -120,7 +120,7 @@ func (p *Pump) Submit(op *OpRecord) error {
 		}
 		return ErrPumpSaturated
 	}
-	if p.rt.stampPhases {
+	if p.rt.conform != nil {
 		// PhaseAdmit: the op enters the ingress queue. Stamped inside the
 		// critical section so the pump task that claims the record (under
 		// this same mutex) — and everything downstream of it, including
@@ -175,7 +175,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		n = free
 	}
 	for _, op := range ops[:n] {
-		if p.rt.stampPhases {
+		if p.rt.conform != nil {
 			// PhaseAdmit, inside the critical section for the same ordering
 			// reason as Submit: the claiming pump worker is ordered after
 			// this store by the mutex handoff.

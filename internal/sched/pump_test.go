@@ -280,7 +280,6 @@ func TestPumpBatchesUnderLoad(t *testing.T) {
 // gauge — a rider has no pending slot for the monitor to read.
 func TestPumpRidersStamped(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 17})
-	rt.SetPhaseStamps(true)
 	m := obs.NewConform(time.Hour)
 	rt.SetConformance(m)
 	ds := &pumpSumDS{}
@@ -320,15 +319,13 @@ func TestPumpRidersStamped(t *testing.T) {
 }
 
 // TestPumpTopUpZeroAllocs pins the serving path — SubmitAll, poll, the
-// launch-time top-up, rider completion — at zero allocations with the
-// full observability configuration attached: tracer, batch-size
-// histogram, phase stamps and the conformance monitor.
+// launch-time top-up, rider completion — at zero allocations with both
+// observability hooks attached: the tracer and the batch monitor (with
+// its phase stamps and batch-size histogram).
 func TestPumpTopUpZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	rt := New(Config{Workers: 4, Seed: 19})
 	rt.SetTracer(rt.NewTracer(1024))
-	rt.SetBatchSizeHistogram(obs.NewHistogram())
-	rt.SetPhaseStamps(true)
 	rt.SetConformance(obs.NewConform(time.Hour))
 	var done, riders atomic.Int64
 	const burst = 64

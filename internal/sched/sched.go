@@ -262,22 +262,14 @@ type Runtime struct {
 	// counted here.
 	liveSteals atomic.Int64
 
-	// tracer, batchHist, and conform are the optional observability
-	// sinks (obs.go). All are written only while the runtime is
-	// quiescent and read unsynchronized by workers; nil means disabled,
-	// and every hook site is a single nil-check branch in that case.
-	tracer    *obs.Tracer
-	batchHist *obs.Histogram
-	conform   *obs.Conform
-
-	// stampPhases enables op-lifecycle phase stamping (obs.Phase*):
-	// Batchify writes PhasePending and LaunchBatch writes
-	// PhaseLaunch/PhaseLand (plus BatchSize/BatchGroup) into each
-	// OpRecord. Like tracer/batchHist it is written only while
-	// quiescent (SetPhaseStamps) and read unsynchronized by workers; off
-	// costs one predicted branch per site and stamping itself allocates
-	// nothing (a clock read plus array stores).
-	stampPhases bool
+	// tracer and conform are the optional observability hooks
+	// (obs.go). Both are written only while the runtime is quiescent and
+	// read unsynchronized by workers; nil means detached, and every hook
+	// site is a single nil-check branch in that case. An attached
+	// monitor also turns on op-lifecycle phase stamping (obs.Phase*),
+	// which is a clock read plus array stores and allocates nothing.
+	tracer  *obs.Tracer
+	conform *obs.Conform
 
 	// contain enables batch-panic containment (ContainBatchPanics): a
 	// panic escaping a group's BOP marks that group's records instead of

@@ -92,23 +92,29 @@ func (s *Server) buildMetrics() {
 			[]obs.Label{{Name: "ds", Value: name}})
 	}
 
-	// Per-shard families. Phase stamping is always on for a server: its
-	// cost is one clock read and an array store per boundary, and the
-	// decomposition is the point of running batcherd observably. The
-	// batch-delay histogram is PhaseLand−PhasePending, the per-op wait
-	// Theorem 5.4 charges (at most two batches' worth by Lemma 2) —
-	// observed into the owning shard's histogram, because the bound is
-	// in terms of that shard's P and its pending array alone.
+	// Per-shard families. Every shard runtime carries a live
+	// conformance monitor (DESIGN.md §16): the runtime feeds it one
+	// RecordBatch per landed batch, and its gauges below check the
+	// paper's guarantees continuously — headroom > 1 means the Theorem
+	// 5.4 envelope was exceeded, max_landings > 2 breaks Lemma 2. Always
+	// on: the per-batch cost is two clock reads and an O(P) scan, and a
+	// guarantee nobody watches is not a guarantee. The attached monitor
+	// also turns on phase stamping, whose cost is one clock read and an
+	// array store per boundary. The batch-delay histogram is
+	// PhaseLand−PhasePending, the per-op wait Theorem 5.4 charges (at
+	// most two batches' worth by Lemma 2) — observed into the owning
+	// shard's histogram, because the bound is in terms of that shard's
+	// P and its pending array alone.
 	s.shardM = make([]shardMetrics, s.router.N())
 	for i := range s.shardM {
 		sh := s.router.Shard(i)
 		label := strconv.Itoa(i)
 		sm := &s.shardM[i]
-		sm.batchHist = reg.Histogram("batcherd_batch_size",
+		sm.conform = obs.NewConform(0)
+		sh.Runtime().SetConformance(sm.conform)
+		reg.RegisterHistogram("batcherd_batch_size",
 			"operations per executed batch",
-			[]obs.Label{{Name: "shard", Value: label}})
-		sh.Runtime().SetBatchSizeHistogram(sm.batchHist)
-		sh.Runtime().SetPhaseStamps(true)
+			[]obs.Label{{Name: "shard", Value: label}}, sm.conform.BatchSizes())
 		for j, name := range obs.PhaseNames {
 			sm.phaseHist[j] = reg.Histogram("batcherd_op_phase_ns",
 				"per-operation lifecycle phase duration",
@@ -121,15 +127,6 @@ func (s *Server) buildMetrics() {
 			"end-to-end operation latency: conn read done to response handoff",
 			[]obs.Label{{Name: "shard", Value: label}})
 
-		// Live conformance monitor (DESIGN.md §16): the shard runtime
-		// feeds one RecordBatch per landed batch and these gauges check
-		// the paper's guarantees continuously — headroom > 1 means the
-		// Theorem 5.4 envelope was exceeded, max_landings > 2 breaks
-		// Lemma 2. Always on: the per-batch cost is two clock reads and
-		// an O(P) scan, and a guarantee nobody watches is not a
-		// guarantee.
-		sm.conform = obs.NewConform(0)
-		sh.Runtime().SetConformance(sm.conform)
 		conform := sm.conform
 		reg.GaugeFunc("batcherd_conformance_headroom",
 			"windowed max batch delay over the Theorem 5.4 envelope 2*(span+gap); >1 breaks the bound",

@@ -170,15 +170,14 @@ type Server struct {
 	reqPool sync.Pool
 }
 
-// shardMetrics is one shard's histogram set (metrics.go): the batch
-// size distribution its runtime observes, one histogram per lifecycle
-// phase duration, the derived batch-delay histogram — Theorem 5.4's
-// per-op wait, auditable per shard because Invariants 1 and 2 hold per
-// shard — the end-to-end (read-to-done) latency histogram behind
-// measured_p999_ns, and the live conformance monitor fed by the shard
-// runtime's batch-land path.
+// shardMetrics is one shard's histogram set (metrics.go): one
+// histogram per lifecycle phase duration, the derived batch-delay
+// histogram — Theorem 5.4's per-op wait, auditable per shard because
+// Invariants 1 and 2 hold per shard — the end-to-end (read-to-done)
+// latency histogram behind measured_p999_ns, and the live conformance
+// monitor fed by the shard runtime's batch-land path, which also holds
+// the batch-size distribution.
 type shardMetrics struct {
-	batchHist *obs.Histogram
 	phaseHist [obs.NumPhases - 1]*obs.Histogram
 	delayHist *obs.Histogram
 	totalHist *obs.Histogram

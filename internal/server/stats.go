@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -222,4 +224,74 @@ func (s *Server) statsJSON() []byte {
 		panic(err)
 	}
 	return b
+}
+
+// Render writes the stats document as text: the rollup lines, then one
+// row per shard — what `batcherd stats` prints once and `batcherlab
+// watch` repaints. prev is an earlier snapshot taken dt seconds before,
+// or nil: with it, ops/s and shed/s are rates over that interval;
+// without it they are averages over the uptime.
+func (st *Stats) Render(w io.Writer, prev *Stats, dt float64) {
+	var last Stats // the counters at the interval's start: zero for uptime averages
+	if prev != nil && dt > 0 {
+		last = *prev
+	} else {
+		dt = st.UptimeSec
+	}
+	rate := func(now, before int64) float64 {
+		if dt <= 0 {
+			return 0
+		}
+		return float64(now-before) / dt
+	}
+	lastShard := func(i int) ShardStats {
+		if i < len(last.PerShard) {
+			return last.PerShard[i]
+		}
+		return ShardStats{}
+	}
+	// ops/s counts pump-completed ops, the OpsPerSec basis.
+	var completed, lastCompleted int64
+	for i, ss := range st.PerShard {
+		completed += ss.Completed
+		lastCompleted += lastShard(i).Completed
+	}
+	slo := "off"
+	if st.AdmitSLONS > 0 {
+		slo = time.Duration(st.AdmitSLONS).String()
+	}
+
+	fmt.Fprintf(w, "server: shards=%d P=%d uptime=%.1fs conns=%d\n",
+		st.Shards, st.Workers, st.UptimeSec, st.Conns)
+	fmt.Fprintf(w, "ops:    accepted=%d rejected=%d completed=%d (%.0f ops/s)\n",
+		st.Accepted, st.Rejected, st.Completed, rate(completed, lastCompleted))
+	fmt.Fprintf(w, "batch:  %d batches, %d ops, mean size %.2f, queue depth %d\n",
+		st.Batches, st.BatchedOps, st.MeanBatch, st.QueueDepth)
+	fmt.Fprintf(w, "faults: failed=%d batch_panics=%d decode_errors=%d evictions=%d\n",
+		st.Failed, st.BatchPanics, st.DecodeErrors, st.Evictions)
+	if st.BatchedOps > 0 && st.ReadSyscalls > 0 && st.WriteSyscalls > 0 {
+		fmt.Fprintf(w, "edge:   %d reactor loops, %d reads, %d writes (%.1f ops/read, %.1f ops/write)\n",
+			st.ReactorLoops, st.ReadSyscalls, st.WriteSyscalls,
+			float64(st.BatchedOps)/float64(st.ReadSyscalls),
+			float64(st.BatchedOps)/float64(st.WriteSyscalls))
+	}
+	fmt.Fprintf(w, "admit:  offered=%d shed=%d (%.1f shed/s) slo=%s\n",
+		st.Offered, st.Shed, rate(st.Shed, last.Shed), slo)
+	fmt.Fprintf(w, "bound:  headroom=%.3f max_landings=%d (Theorem 5.4 envelope; >1 / >2 break the guarantees)\n",
+		st.ConformHeadroom, st.ConformMaxLandings)
+
+	// limit is the admission backlog bound in ops (0 = unlimited) and
+	// rate/s the measured completion rate it is derived from.
+	fmt.Fprintf(w, "%6s %10s %10s %10s %7s %7s %8s %6s %7s %7s %9s %10s %9s %6s %7s %7s\n",
+		"shard", "accepted", "offered", "ops/s", "shed", "shed/s", "batches", "mean",
+		"queue", "limit", "rate/s", "meas_p999", "headroom", "lands", "failed", "panics")
+	for i, ss := range st.PerShard {
+		before := lastShard(i)
+		fmt.Fprintf(w, "%6d %10d %10d %10.0f %7d %7.1f %8d %6.2f %7d %7d %9.0f %10s %9.3f %6d %7d %7d\n",
+			ss.Shard, ss.Accepted, ss.Offered, rate(ss.Completed, before.Completed),
+			ss.Shed, rate(ss.Shed, before.Shed), ss.Batches, ss.MeanBatch, ss.QueueDepth,
+			ss.AdmitLimit, ss.AdmitRatePerSec,
+			time.Duration(ss.MeasuredP999NS).Round(time.Microsecond),
+			ss.Conformance.Headroom, ss.Conformance.MaxLandings, ss.Failed, ss.BatchPanics)
+	}
 }
