@@ -226,8 +226,11 @@ func (s *batchScratch) init(rt *Runtime) {
 	}
 	s.groupBody = func(cc *Ctx, i int) { rt.runGroup(cc, i) }
 	s.doneBody = func(_ *Ctx, i int) {
-		op := s.working[i]
-		rt.workers[op.worker].status.Store(int32(StatusDone))
+		// Read the id before the store: once done is published, the
+		// participant may resume and reuse its record.
+		id := int(s.working[i].worker)
+		rt.workers[id].status.Store(int32(StatusDone))
+		rt.idle.wakeOne(id)
 	}
 }
 
@@ -276,7 +279,7 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		// in its place. Nothing to do.
 		rt.batchesActive.Add(-1)
 		rt.batchFlag.Store(0)
-		rt.idle.wake()
+		rt.wakeLauncher()
 		return
 	}
 	if len(working) > nw {
@@ -356,8 +359,11 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		tr.Record(c.w.id, obs.EvBatchLand, int64(len(working)), dur)
 	}
 
-	// Step 4: mark participants done (executing -> done). Participants
-	// cannot have changed status themselves, so plain stores suffice.
+	// Step 4: mark participants done (executing -> done), waking each
+	// participant that parked: its status store precedes its wake, so it
+	// either parks before the wake (and is woken) or re-checks after the
+	// store (and observes done). Participants cannot have changed status
+	// themselves, so plain stores suffice.
 	// Riders have no status to flip: complete them here, after the
 	// trapped participants are released and while the flag still guards
 	// the scratch. This task runs inside some worker's scheduling loop
@@ -368,13 +374,13 @@ func (rt *Runtime) launchBatchBody(c *Ctx) {
 		p.complete(op)
 	}
 
-	// Step 5: reset the global batch-status flag, then wake parked
-	// workers: the status stores above and the flag reset precede this
-	// wake, so a trapped worker either parks before it (and is woken) or
-	// re-checks after it (and observes done / flag clear).
+	// Step 5: reset the global batch-status flag, then wake one parked
+	// pending worker to launch the next batch: the reset precedes the
+	// wake, so a trapped worker either parks before it (and is found) or
+	// re-checks after it (and observes the flag clear).
 	rt.batchesActive.Add(-1)
 	rt.batchFlag.Store(0)
-	rt.idle.wake()
+	rt.wakeLauncher()
 }
 
 // groupWorking partitions s.working by target structure into s.groups,

@@ -64,17 +64,17 @@ func (rt *Runtime) LiveSteals() int64 { return rt.liveSteals.Load() }
 
 // parkAndSleep is the shared tail of every idle-park site: count the
 // park, trace it (park/wake bracket the sleep so trace viewers render
-// parked time as a span), sleep until woken, and resume the idle ladder
-// at the post-park level.
-func (w *worker) parkAndSleep(epoch uint64) {
+// parked time as a span), sleep on the worker's slot until woken, and
+// resume the idle ladder at the post-park level.
+func (w *worker) parkAndSleep() {
 	w.m.Parks++
 	rt := w.rt
 	if tr := rt.tracer; tr != nil {
 		tr.Record(w.id, obs.EvPark, 0, 0)
-		rt.idle.sleep(epoch)
+		rt.idle.sleep(w.id)
 		tr.Record(w.id, obs.EvWake, 0, 0)
 	} else {
-		rt.idle.sleep(epoch)
+		rt.idle.sleep(w.id)
 	}
 	w.idleFails = idleResume
 }

@@ -355,15 +355,18 @@ func (p *Pump) pumpLoop(c *Ctx) {
 		if w.stealAndRun(true) {
 			continue
 		}
-		if !w.spin() {
+		// The ingress wait keeps the timer-sleep rungs: its producer
+		// is a network goroutine, and parking sooner here made every
+		// admission pay a wake (DESIGN.md, spin-then-park idling).
+		if !w.spinSleep() {
 			continue
 		}
-		epoch := rt.idle.beginPark()
+		rt.idle.beginPark(w.id)
 		if p.ready() || rt.aborting.Load() ||
 			!w.batch.Empty() || w.victimsHaveWork(true) {
-			rt.idle.cancelPark()
+			rt.idle.cancelPark(w.id)
 			continue
 		}
-		w.parkAndSleep(epoch)
+		w.parkAndSleep()
 	}
 }

@@ -135,8 +135,11 @@ type Task struct {
 
 // join is a fork-join completion counter. done may be non-nil for the
 // root task, where completion must wake the submitting goroutine.
+// waiter is 1 + the id of the worker that registered on the join before
+// parking at it (0: none), so the finisher wakes that worker alone.
 type join struct {
 	pending atomic.Int32
+	waiter  atomic.Int32
 	done    chan struct{}
 }
 
@@ -219,8 +222,8 @@ type Runtime struct {
 	// pending is the size-P pending array; pending[i] is worker i's slot.
 	pending []paddedPending
 
-	// idle parks workers that cannot find work and wakes them when work
-	// may have appeared.
+	// idle parks workers that cannot find work, one slot per worker,
+	// and wakes them when work may have appeared.
 	idle waker
 
 	// scratch holds the per-runtime LaunchBatch buffers, reused across
@@ -324,7 +327,7 @@ func New(cfg Config) *Runtime {
 		cfg:     cfg,
 		pending: make([]paddedPending, cfg.Workers),
 	}
-	rt.idle.init()
+	rt.idle.init(cfg.Workers)
 	rt.launchFn = rt.launchBatchBody
 	rt.workers = make([]*worker, cfg.Workers)
 	seed := cfg.Seed
@@ -522,14 +525,22 @@ var testHookTaskRun func(kind Kind, status Status)
 // waiting on joins that will never complete; the join is finished either
 // way so waiters unblock.
 func (w *worker) runTask(t *Task) {
-	// recycleAfterRun must be read before the join is finished: once it
-	// is, the forker may reclaim and rewrite the frame concurrently.
+	// recycleAfterRun and join must be read before the join is
+	// finished: once it is, the forker may reclaim and rewrite the frame
+	// concurrently.
 	recycle := t.recycleAfterRun
+	j := t.join
 	w.idleFails = 0
 	w.execTask(t)
-	// The join (if any) has now been finished; a worker parked at that
-	// join must hear about it.
-	w.rt.idle.wake()
+	// The join (if any) has now been finished; the worker parked at it
+	// must hear about it. The frame may already be recycled, so the
+	// waiter read can be stale: that costs a spurious wake, never a
+	// missed one (the waiter registers before it re-checks pending).
+	if j != nil {
+		if id := j.waiter.Load(); id != 0 {
+			w.rt.idle.wakeOne(int(id - 1))
+		}
+	}
 	if recycle {
 		w.putTask(t)
 	}
@@ -659,16 +670,21 @@ func (w *worker) stealOnce(batchOnly bool) *Task {
 	return t
 }
 
-// Idle pacing: a worker that failed to find work spins briefly (yielding
-// the CPU — the host may run fewer CPUs than workers), then parks on the
-// runtime's waker until an event that could produce work for it. Each
-// idle* variant re-checks the conditions that must wake its caller after
-// registering as parked, which the waker protocol requires.
+// Idle pacing: a worker that failed to find work yields the CPU a few
+// times (the host may run fewer CPUs than workers), then parks on its
+// slot of the runtime's waker until an event that could produce work for
+// it. The trapped, at-join and free waits go straight from the yields to
+// the park: every event they wait for is one the scheduler signals
+// itself. Only the pump's ingress wait adds timer-sleep rungs before
+// parking (spinSleep), because its producer is a network goroutine whose
+// every admission would otherwise pay a wake. Each idle* variant
+// re-checks the conditions that must wake its caller after registering
+// as parked, which the waker protocol requires.
 const (
 	// idleSpinYield failed attempts are plain scheduler yields.
 	idleSpinYield = 8
-	// idleSpinSleep failed attempts (beyond the yields) sleep a
-	// microsecond, letting randomized victim selection decorrelate.
+	// idleSpinSleep failed attempts (beyond the yields) of the pump's
+	// ingress wait sleep a microsecond.
 	idleSpinSleep = 32
 	// After a park wakes, resume spinning at this level so a worker that
 	// finds nothing re-parks quickly instead of burning a full ladder.
@@ -679,11 +695,20 @@ const (
 // should now attempt to park.
 func (w *worker) spin() bool {
 	w.idleFails++
-	switch {
-	case w.idleFails < idleSpinYield:
+	if w.idleFails < idleSpinYield {
 		goruntime.Gosched()
 		return false
-	case w.idleFails < idleSpinSleep:
+	}
+	return true
+}
+
+// spinSleep is spin with the ingress wait's sleep rungs between the
+// yields and the park.
+func (w *worker) spinSleep() bool {
+	if !w.spin() {
+		return false
+	}
+	if w.idleFails < idleSpinSleep {
 		time.Sleep(time.Microsecond)
 		return false
 	}
@@ -716,46 +741,65 @@ func (w *worker) idleFree() {
 		return
 	}
 	rt := w.rt
-	epoch := rt.idle.beginPark()
+	rt.idle.beginPark(w.id)
 	if rt.stop.Load() || rt.aborting.Load() ||
 		!w.batch.Empty() || !w.core.Empty() || w.victimsHaveWork(false) {
-		rt.idle.cancelPark()
+		rt.idle.cancelPark(w.id)
 		return
 	}
-	w.parkAndSleep(epoch)
+	w.parkAndSleep()
 }
 
 // idleAtJoin paces a worker waiting at j inside a task of the given kind
-// (see helpOnce for what such a worker may legally run).
+// (see helpOnce for what such a worker may legally run). It registers on
+// j before parking, so the task that finishes j wakes it alone.
 func (w *worker) idleAtJoin(j *join, kind Kind) {
 	if !w.spin() {
 		return
 	}
 	rt := w.rt
 	coreOK := kind == KindCore && w.isFree()
-	epoch := rt.idle.beginPark()
+	j.waiter.Store(int32(w.id) + 1)
+	rt.idle.beginPark(w.id)
 	if j.pending.Load() == 0 || rt.aborting.Load() ||
 		!w.batch.Empty() || (coreOK && !w.core.Empty()) ||
 		w.victimsHaveWork(!coreOK) {
-		rt.idle.cancelPark()
+		rt.idle.cancelPark(w.id)
 		return
 	}
-	w.parkAndSleep(epoch)
+	w.parkAndSleep()
 }
 
 // idleTrapped paces a trapped worker in the Batchify loop: it must wake
-// for batch work, for its own status turning done, and for the batch
-// flag resetting (so it can launch).
+// for batch work, for its own status turning done (LaunchBatch step 4
+// wakes it), and for the batch flag resetting while it is still pending
+// (step 5 wakes one such worker, the next launcher).
 func (w *worker) idleTrapped() {
 	if !w.spin() {
 		return
 	}
 	rt := w.rt
-	epoch := rt.idle.beginPark()
+	rt.idle.beginPark(w.id)
 	if Status(w.status.Load()) == StatusDone || rt.aborting.Load() ||
 		rt.batchFlag.Load() == 0 || !w.batch.Empty() || w.victimsHaveWork(true) {
-		rt.idle.cancelPark()
+		rt.idle.cancelPark(w.id)
 		return
 	}
-	w.parkAndSleep(epoch)
+	w.parkAndSleep()
+}
+
+// wakeLauncher is called after the batch flag resets. It wakes one
+// parked worker whose status is pending: that worker can claim the flag
+// and launch the next batch, whose acknowledgement step takes in every
+// other pending worker. A parked worker that is executing or done needs
+// nothing from the reset: its batch's step 4 wakes it.
+func (rt *Runtime) wakeLauncher() {
+	if rt.idle.parked.Load() == 0 {
+		return
+	}
+	for i, w := range rt.workers {
+		if Status(w.status.Load()) == StatusPending && rt.idle.wakeOne(i) {
+			return
+		}
+	}
 }

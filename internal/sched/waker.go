@@ -1,69 +1,108 @@
 package sched
 
 import (
-	"sync"
 	"sync/atomic"
 )
 
-// waker implements the adaptive spin-then-park idle policy. A worker
-// that has repeatedly failed to find work registers itself as parked and
-// sleeps on a condition variable; any event that could create runnable
-// work for some worker — a task push, a join completing, a work-status
-// flag flipping to done, the global batch flag resetting, shutdown or
-// abort — calls wake, which is a single atomic load when nobody is
-// parked (the common case, so producers pay nothing on the hot path).
+// waker implements the spin-then-park idle policy with one park slot per
+// worker. A worker that has repeatedly failed to find work parks on its
+// own slot; a producer that publishes an event wakes either the one
+// worker the event concerns (wakeOne: a status flipped to done, a join
+// finished, the batch flag reset) or every parked worker (wake: a task
+// push, a pump submission, shutdown, abort). Both are a single atomic
+// load when nobody is parked, so producers pay nothing on the hot path.
 //
-// The protocol is lost-wakeup-free: a would-be sleeper calls beginPark
-// (incrementing parked), reads the epoch, and only then re-checks its
-// wake conditions; a producer publishes work and only then loads parked.
-// Go's sync/atomic operations are sequentially consistent, so in every
-// interleaving either the producer observes parked > 0 (and bumps the
-// epoch under the same mutex the sleeper waits on) or the sleeper's
-// re-check observes the published work.
+// The protocol is lost-wakeup-free. A would-be sleeper stores "parked"
+// in its slot (beginPark) and only then re-checks its wake conditions;
+// a producer publishes its event and only then loads the slot. Go's
+// sync/atomic operations are sequentially consistent, so in every
+// interleaving either the producer observes "parked" or the sleeper's
+// re-check observes the event. The producer that CASes the slot from
+// parked to running owns the wake and sends the slot's one token; the
+// sleeper blocks on that token (sleep), or, when its re-check found
+// work, retracts with cancelPark, which consumes the token instead if a
+// producer won the CAS first. Either way each park cycle moves exactly
+// one token, so the send never blocks.
 type waker struct {
-	// seq is the wake epoch, bumped on every wake that found parked
-	// workers. Sleepers re-check it under mu, so a bump between
-	// beginPark and sleep turns the sleep into a no-op.
-	seq atomic.Uint64
-	// parked counts workers parked or committed to parking.
+	// parked counts slots in the parked state; it lets a broadcast wake
+	// skip the slot scan when nobody is parked.
 	parked atomic.Int32
-
-	mu   sync.Mutex
-	cond *sync.Cond
+	slots  []parkSlot
 }
 
-func (k *waker) init() { k.cond = sync.NewCond(&k.mu) }
+// Park-slot states.
+const (
+	slotRunning int32 = iota
+	slotParked
+)
 
-// wake is called after publishing any event that might unblock a waiting
-// worker. It costs one atomic load unless workers are actually parked.
+// parkSlot is one worker's park slot, padded so a wake aimed at one
+// worker does not invalidate a neighbor's slot.
+type parkSlot struct {
+	state atomic.Int32
+	// sema is the one-token semaphore a sleeper blocks on.
+	sema chan struct{}
+	_    [cacheLinePad - 16]byte
+}
+
+// testHookSlotWake, when non-nil, observes every successful wake of a
+// parked slot. Tests use it to count whom each event wakes; it must be
+// set before any Run and never during one.
+var testHookSlotWake func(slot int)
+
+func (k *waker) init(n int) {
+	k.slots = make([]parkSlot, n)
+	for i := range k.slots {
+		k.slots[i].sema = make(chan struct{}, 1)
+	}
+}
+
+// wake is called after publishing an event that might unblock any
+// parked worker, and wakes them all. It costs one atomic load unless
+// workers are actually parked.
 func (k *waker) wake() {
 	if k.parked.Load() != 0 {
-		k.seq.Add(1)
-		k.mu.Lock()
-		k.cond.Broadcast()
-		k.mu.Unlock()
+		for i := range k.slots {
+			k.wakeOne(i)
+		}
 	}
 }
 
-// beginPark registers the caller as parking and returns the wake epoch.
-// The caller must re-check its wake conditions after beginPark and then
-// either cancelPark (work appeared) or sleep (nothing to do).
-func (k *waker) beginPark() uint64 {
-	k.parked.Add(1)
-	return k.seq.Load()
-}
-
-// cancelPark retracts a beginPark whose re-check found work.
-func (k *waker) cancelPark() { k.parked.Add(-1) }
-
-// sleep blocks until the wake epoch advances past the one observed by
-// beginPark. Spurious returns are fine: every park site loops and
-// re-checks its conditions.
-func (k *waker) sleep(epoch uint64) {
-	k.mu.Lock()
-	for k.seq.Load() == epoch {
-		k.cond.Wait()
+// wakeOne is called after publishing an event that concerns the worker
+// of slot i alone, and wakes it if it is parked. It reports whether it
+// did. Waking a slot that is not parked costs one atomic load.
+func (k *waker) wakeOne(i int) bool {
+	s := &k.slots[i]
+	if s.state.Load() != slotParked || !s.state.CompareAndSwap(slotParked, slotRunning) {
+		return false
 	}
-	k.mu.Unlock()
 	k.parked.Add(-1)
+	s.sema <- struct{}{}
+	if testHookSlotWake != nil {
+		testHookSlotWake(i)
+	}
+	return true
 }
+
+// beginPark marks slot i as parked. The caller must re-check its wake
+// conditions after beginPark and then either cancelPark (work appeared)
+// or sleep (nothing to do).
+func (k *waker) beginPark(i int) {
+	k.slots[i].state.Store(slotParked)
+	k.parked.Add(1)
+}
+
+// cancelPark retracts a beginPark whose re-check found work. If a
+// producer already won the slot, its token is consumed here.
+func (k *waker) cancelPark(i int) {
+	s := &k.slots[i]
+	if s.state.CompareAndSwap(slotParked, slotRunning) {
+		k.parked.Add(-1)
+		return
+	}
+	<-s.sema
+}
+
+// sleep blocks slot i until a producer wakes it. Spurious wakes are
+// fine: every park site loops and re-checks its conditions.
+func (k *waker) sleep(i int) { <-k.slots[i].sema }
