@@ -57,6 +57,9 @@ func (c *Ctx) Fork(a, b func(*Ctx)) {
 	bt.kind = c.kind
 	bt.join = &bt.ownJoin
 	bt.ownJoin.pending.Store(1)
+	// A pooled frame keeps the waiter of its last join; clear it so the
+	// thief that finishes this one wakes no one who waited long ago.
+	bt.ownJoin.waiter.Store(0)
 	// Tasks forked inside a batch group inherit its tag, counted before
 	// the push makes them stealable (panic containment; see contain.go).
 	if bt.group = w.curGroup; bt.group != 0 {
@@ -166,6 +169,7 @@ func (c *Ctx) forRange(lo, hi, grain int, body func(*Ctx, int)) {
 		t.kind = c.kind
 		t.join = &t.ownJoin
 		t.ownJoin.pending.Store(1)
+		t.ownJoin.waiter.Store(0) // as in Fork
 		// Group-tag inheritance, as in Fork (panic containment).
 		if t.group = w.curGroup; t.group != 0 {
 			w.rt.scratch.groupLive[t.group-1].Add(1)

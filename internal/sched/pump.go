@@ -355,10 +355,7 @@ func (p *Pump) pumpLoop(c *Ctx) {
 		if w.stealAndRun(true) {
 			continue
 		}
-		// The ingress wait keeps the timer-sleep rungs: its producer
-		// is a network goroutine, and parking sooner here made every
-		// admission pay a wake (DESIGN.md, spin-then-park idling).
-		if !w.spinSleep() {
+		if !w.spin() {
 			continue
 		}
 		rt.idle.beginPark(w.id)

@@ -45,7 +45,6 @@ import (
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"batcher/internal/deque"
 	"batcher/internal/obs"
@@ -533,9 +532,10 @@ func (w *worker) runTask(t *Task) {
 	w.idleFails = 0
 	w.execTask(t)
 	// The join (if any) has now been finished; the worker parked at it
-	// must hear about it. The frame may already be recycled, so the
-	// waiter read can be stale: that costs a spurious wake, never a
-	// missed one (the waiter registers before it re-checks pending).
+	// must hear about it. The frame may already be recycled and
+	// re-armed (Fork clears its waiter), so the waiter read can be
+	// stale: that costs a spurious wake, never a missed one (the waiter
+	// registers before it re-checks pending).
 	if j != nil {
 		if id := j.waiter.Load(); id != 0 {
 			w.rt.idle.wakeOne(int(id - 1))
@@ -673,19 +673,14 @@ func (w *worker) stealOnce(batchOnly bool) *Task {
 // Idle pacing: a worker that failed to find work yields the CPU a few
 // times (the host may run fewer CPUs than workers), then parks on its
 // slot of the runtime's waker until an event that could produce work for
-// it. The trapped, at-join and free waits go straight from the yields to
-// the park: every event they wait for is one the scheduler signals
-// itself. Only the pump's ingress wait adds timer-sleep rungs before
-// parking (spinSleep), because its producer is a network goroutine whose
-// every admission would otherwise pay a wake. Each idle* variant
-// re-checks the conditions that must wake its caller after registering
-// as parked, which the waker protocol requires.
+// it. No wait polls a timer: every event a worker waits for is one the
+// scheduler signals (a status flip, a join finish, the flag reset, a
+// task push) or one a pump producer signals (Submit, Close). Each idle
+// site re-checks the conditions that must wake its caller after
+// registering as parked, which the waker protocol requires.
 const (
 	// idleSpinYield failed attempts are plain scheduler yields.
 	idleSpinYield = 8
-	// idleSpinSleep failed attempts (beyond the yields) of the pump's
-	// ingress wait sleep a microsecond.
-	idleSpinSleep = 32
 	// After a park wakes, resume spinning at this level so a worker that
 	// finds nothing re-parks quickly instead of burning a full ladder.
 	idleResume = idleSpinYield
@@ -697,19 +692,6 @@ func (w *worker) spin() bool {
 	w.idleFails++
 	if w.idleFails < idleSpinYield {
 		goruntime.Gosched()
-		return false
-	}
-	return true
-}
-
-// spinSleep is spin with the ingress wait's sleep rungs between the
-// yields and the park.
-func (w *worker) spinSleep() bool {
-	if !w.spin() {
-		return false
-	}
-	if w.idleFails < idleSpinSleep {
-		time.Sleep(time.Microsecond)
 		return false
 	}
 	return true

@@ -25,7 +25,9 @@ import (
 // one token, so the send never blocks.
 type waker struct {
 	// parked counts slots in the parked state; it lets a broadcast wake
-	// skip the slot scan when nobody is parked.
+	// skip the slot scan when nobody is parked. It never falls below the
+	// number of parked slots: beginPark counts a slot before marking it
+	// parked, and every decrement follows a CAS out of the parked state.
 	parked atomic.Int32
 	slots  []parkSlot
 }
@@ -87,9 +89,14 @@ func (k *waker) wakeOne(i int) bool {
 // beginPark marks slot i as parked. The caller must re-check its wake
 // conditions after beginPark and then either cancelPark (work appeared)
 // or sleep (nothing to do).
+//
+// The count goes up before the state is stored. In the other order a
+// wakeOne could claim this slot and decrement in between, and the count
+// would read one low: 0 with another slot parked, which a broadcast
+// wake would then skip.
 func (k *waker) beginPark(i int) {
-	k.slots[i].state.Store(slotParked)
 	k.parked.Add(1)
+	k.slots[i].state.Store(slotParked)
 }
 
 // cancelPark retracts a beginPark whose re-check found work. If a

@@ -243,6 +243,106 @@ func TestWakerTargetedWake(t *testing.T) {
 	checkWakerQuiet(t, &k)
 }
 
+// TestWakerMixedWake mixes the two kinds of wake, as the scheduler
+// does: targeted wakes keep one slot cycling through park and wake while
+// broadcast wakes are the only signal for another. A producer waits
+// until the broadcast consumer has parked, publishes its next event and
+// calls the broadcast wake once, so a broadcast that skips the parked
+// consumer wedges it. Meanwhile a churner parks on its own slot over and
+// over and two targeted wakers race to wake it, which moves the parked
+// count under the broadcasts' feet. If beginPark marked a slot parked
+// before counting it, a wakeOne could decrement first, the count would
+// read 0 with the consumer parked, and the broadcast would skip the scan:
+// the test hangs. It ends like a runtime's stop: a flag, then one final
+// broadcast.
+func TestWakerMixedWake(t *testing.T) {
+	const (
+		consumer = 0
+		churner  = 1
+		events   = 10000
+	)
+	var k waker
+	k.init(2)
+
+	var (
+		event   atomic.Int64 // published, unclaimed: 0 or 1
+		claimed atomic.Int64
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() { // the broadcast producer
+		defer wg.Done()
+		for n := 0; n < events; n++ {
+			for event.Load() != 0 || k.slots[consumer].state.Load() != slotParked {
+				if claimed.Load() == events {
+					return
+				}
+				goruntime.Gosched()
+			}
+			event.Store(1)
+			k.wake()
+		}
+	}()
+	wg.Add(1)
+	go func() { // the broadcast consumer
+		defer wg.Done()
+		for claimed.Load() < events {
+			if event.Load() != 0 {
+				claimed.Add(1)
+				event.Store(0)
+				continue
+			}
+			k.beginPark(consumer)
+			if event.Load() != 0 {
+				k.cancelPark(consumer)
+				continue
+			}
+			k.sleep(consumer)
+		}
+	}()
+
+	var churnWG sync.WaitGroup
+	for i := 0; i < 2; i++ { // the targeted wakers
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
+			for !stop.Load() {
+				k.wakeOne(churner)
+				goruntime.Gosched() // as in TestWakerParkStorm
+			}
+		}()
+	}
+	churnWG.Add(1)
+	go func() { // the churner
+		defer churnWG.Done()
+		for {
+			k.beginPark(churner)
+			if stop.Load() {
+				k.cancelPark(churner)
+				return
+			}
+			k.sleep(churner)
+		}
+	}()
+
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		stop.Store(true)
+		k.wake() // stop published above: the one final broadcast
+		churnWG.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("lost broadcast wakeup: consumer claimed %d of %d, parked count %d",
+			claimed.Load(), events, k.parked.Load())
+	}
+	checkWakerQuiet(t, &k)
+}
+
 // checkWakerQuiet asserts that every park cycle completed: no slot is
 // parked and no token is left in a slot's semaphore.
 func checkWakerQuiet(t *testing.T, k *waker) {
@@ -379,5 +479,23 @@ func TestBatchLandWakesOnlyParticipants(t *testing.T) {
 			}
 			settle()
 		}
+	})
+
+	t.Run("fork clears a pooled frame's waiter", func(t *testing.T) {
+		w0 := rt.workers[0]
+		stale := w0.getTask()
+		stale.ownJoin.waiter.Store(4) // worker 3 waited at this frame's last join
+		w0.putTask(stale)
+		parkOthers()
+		w0.ctxs[KindCore].Fork(func(*Ctx) {
+			// The push's broadcast woke every parked slot; park them
+			// again so that only the finish of b's join is counted.
+			settle()
+			parkOthers()
+		}, func(*Ctx) {})
+		if len(woken) != 0 {
+			t.Errorf("finishing a re-armed join woke slots %v; want none", woken)
+		}
+		settle()
 	})
 }
