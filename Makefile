@@ -53,8 +53,9 @@ fuzz:
 
 # The failure-containment suite: contained batch panics, pump floods and
 # close-during-flood, fault-injected structures, the wire-level chaos
-# tests and the sharded shutdown drain, under the race detector. This
-# target is the one definition of the suite — CI's chaos steps call it.
+# tests, the backpressure witness and both shutdown drains, under the
+# race detector. This target is the one definition of the suite — CI's
+# chaos steps call it.
 chaos:
-	go test -race -run 'TestContain|TestPanickerContained|TestFlakyEveryN|TestPumpServesThroughBatchPanic|TestPumpFlood|TestPumpCloseDuringFlood|TestChaos|TestStatsBooks|TestShardedShutdownDrain' \
+	go test -race -run 'TestContain|TestPanickerContained|TestFlakyEveryN|TestPumpServesThroughBatchPanic|TestPumpFlood|TestPumpCloseDuringFlood|TestChaos|TestStatsBooks|TestShardedShutdownDrain|TestServerBackpressure|TestServerReactorShutdownDrain' \
 		-count=1 -v ./internal/sched/ ./internal/faultinject/ ./internal/server/

@@ -8,8 +8,7 @@
 // Usage:
 //
 //	batcherd serve [-addr :7411] [-shards N] [-workers N] [-window 32] [-queue N]
-//	               [-idle-timeout D] [-write-stall D] [-saturation-timeout D]
-//	               [-slo D]
+//	               [-idle-timeout D] [-write-stall D] [-slo D]
 //	               [-metrics host:9100] [-trace-ring N] [-slow-k K] [-slow-window D]
 //	    Run the server until SIGINT/SIGTERM, then drain gracefully.
 //	    -shards runs N independent scheduler runtimes behind the one
@@ -18,10 +17,11 @@
 //	    -slo enables admission control (DESIGN.md §15): each shard
 //	    measures its own completion rate and, once more work stands in
 //	    front of it than that rate serves in half the SLO, sheds the
-//	    excess at the edge with a fast error instead of letting it park.
-//	    The bound never exceeds -queue (past the queue the edge parks
-//	    whole connections, which hides demand from the ledger), so size
-//	    -queue to at least rate × SLO/2 or the queue sets the bound.
+//	    excess at the edge with a fast error instead of letting it queue.
+//	    The bound never exceeds -queue (default 8×P), so size -queue to
+//	    at least rate × SLO/2 or the queue sets the bound. Without -slo
+//	    nothing sheds: every op queues, bounded only by each
+//	    connection's -window.
 //	    -metrics serves an HTTP listener with /metrics (Prometheus text
 //	    format, including the per-phase and batch-delay histograms and
 //	    the live conformance gauges), /slow (the tail flight recorder:
@@ -102,12 +102,11 @@ func serveCmd(args []string) {
 	shards := fs.Int("shards", 1, "independent runtime shards behind the listener (key-hashed routing)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "scheduler workers per shard (P)")
 	window := fs.Int("window", 32, "per-connection in-flight window")
-	queue := fs.Int("queue", 0, "pump ingress queue capacity (0 = 8×P); with -slo also the ceiling of the admission bound")
+	queue := fs.Int("queue", 0, "with -slo, the ceiling of each shard's admission bound in ops (0 = 8×P)")
 	seed := fs.Uint64("seed", 20140623, "seed for the hashed structures")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
 	idle := fs.Duration("idle-timeout", 0, "reap connections idle this long (0 = 2m default, <0 disables)")
 	stall := fs.Duration("write-stall", 0, "break connections whose reads stall a response write this long (0 = 30s default, <0 disables)")
-	saturation := fs.Duration("saturation-timeout", 0, "reject requests parked this long on a saturated queue (0 = 30s default, <0 disables)")
 	slo := fs.Duration("slo", 0, "p999 latency SLO enabling admission control (0 disables; excess load sheds fast at the edge)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /slow, and /debug/pprof on this address; empty disables")
 	traceRing := fs.Int("trace-ring", 0, "scheduler event-ring slots per worker (0 disables tracing; enables /trace with -metrics)")
@@ -125,7 +124,6 @@ func serveCmd(args []string) {
 		DrainTimeout:      *drain,
 		IdleTimeout:       *idle,
 		WriteStallTimeout: *stall,
-		SaturationTimeout: *saturation,
 		SLO:               *slo,
 		TraceRing:         *traceRing,
 		SlowK:             *slowK,
@@ -235,8 +233,7 @@ func loadCmd(args []string) {
 	ops := fs.Int("ops", 1000, "operations per connection")
 	dsName := fs.String("ds", "skiplist", "target structure: counter|skiplist|tree23|hashmap")
 	read := fs.Float64("read", 0.5, "fraction of lookups (rest are inserts)")
-	window := fs.Int("window", 16, "closed-loop pipelining depth per connection (alias of -pipeline)")
-	pipeline := fs.Int("pipeline", 0, "closed-loop pipelining depth per connection (overrides -window when set)")
+	pipeline := fs.Int("pipeline", 16, "closed-loop pipelining depth per connection")
 	rate := fs.Float64("rate", 0, "open-loop aggregate ops/s (0 = closed-loop; incompatible with a -conns sweep)")
 	keyspace := fs.Int64("keyspace", 1<<16, "key range")
 	dist := fs.String("dist", "uniform", "key distribution: uniform|zipf (zipf skews load across shards)")
@@ -265,7 +262,7 @@ func loadCmd(args []string) {
 		os.Exit(2)
 	}
 	w := loadgen.Workload{
-		Addr: *addr, Ops: *ops, Window: *window, Pipeline: *pipeline,
+		Addr: *addr, Ops: *ops, Window: *pipeline,
 		RatePerSec: *rate, DS: ds, ReadFrac: *read,
 		KeySpace: *keyspace, KeyDist: *dist, ZipfS: *zipfS,
 		Seed: *seed, Phases: *phases,
@@ -339,19 +336,8 @@ func sweepCmd(w loadgen.Workload, sweep []int) {
 			rel = fmt.Sprintf("  (%.2fx)", nsPerOp/base)
 		}
 		fmt.Printf("%8d %9d %10d %10.0f %12.0f %10s %10s%s\n",
-			n, pipelineDepth(w), total, nsPerOp, res.OpsPerSec, res.P50, res.P99, rel)
+			n, w.Window, total, nsPerOp, res.OpsPerSec, res.P50, res.P99, rel)
 	}
-}
-
-// pipelineDepth resolves the effective per-conn depth for display.
-func pipelineDepth(w loadgen.Workload) int {
-	if w.Pipeline > 0 {
-		return w.Pipeline
-	}
-	if w.Window > 0 {
-		return w.Window
-	}
-	return 16
 }
 
 func statsCmd(args []string) {

@@ -83,8 +83,8 @@ func (f *Flaky) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 // Slow wraps a batched structure and sleeps before each batch. Because
 // at most one batch runs at a time (Invariant 1), the sleep stalls the
 // whole batching pipeline — which is the point: it backs traffic up
-// into the pump queue so tests can drive the saturation-timeout path
-// with real load instead of an artificially tiny queue.
+// into the pump queue so tests can drive a standing backlog with real
+// load.
 type Slow struct {
 	Inner sched.Batched
 	Delay time.Duration

@@ -22,10 +22,6 @@ type Workload struct {
 	// Window requests are outstanding, each response permits the next
 	// send. Defaults to 16. Ignored in open-loop mode.
 	Window int
-	// Pipeline, when positive, overrides Window. It is the same knob
-	// under the name the batcherd load subcommand exposes (-pipeline);
-	// having both lets callers keep old Window-based configs working.
-	Pipeline int
 	// RatePerSec, when positive, switches to open-loop mode: requests
 	// are paced at this aggregate rate across all connections regardless
 	// of response progress, so queueing delay shows up as latency
@@ -60,16 +56,13 @@ type Workload struct {
 	Phases bool
 }
 
-// normalize applies defaults and resolves the Pipeline/Window aliasing.
+// normalize applies defaults.
 func (w *Workload) normalize() {
 	if w.Conns <= 0 {
 		w.Conns = 8
 	}
 	if w.Ops <= 0 {
 		w.Ops = 1000
-	}
-	if w.Pipeline > 0 {
-		w.Window = w.Pipeline
 	}
 	if w.Window <= 0 {
 		w.Window = 16

@@ -14,7 +14,7 @@ import "time"
 // guarantees:
 //
 //	PhaseRead     conn read done: the request is decoded and validated
-//	PhaseAdmit    pump admission: the window/saturation wait is over
+//	PhaseAdmit    pump admission: the op enters its shard's FIFO
 //	PhasePending  pending-array publish (the Batchify entry)
 //	PhaseLaunch   batch launch: the op is compacted into a working set
 //	PhaseLand     batch land: the op's group's BOP has run
@@ -39,7 +39,7 @@ const (
 // PhaseNames names the five durations between consecutive stamps:
 // PhaseNames[i] is the interval [stamp i, stamp i+1).
 var PhaseNames = [NumPhases - 1]string{
-	"ingress",  // read done -> pump admitted (window + saturation wait)
+	"ingress",  // read done -> pump admitted (the edge's span submission)
 	"queue",    // pump admitted -> pending-array publish (ingress queue)
 	"pending",  // pending publish -> batch launch (trapped, awaiting launch)
 	"exec",     // batch launch -> batch land (the BOP itself)

@@ -20,9 +20,11 @@ package sched
 // Backpressure falls out of the same structure. The pending array
 // admits at most P in-flight operations; the Pump's bounded queue is
 // the ingress buffer in front of it, and Submit fails fast with
-// ErrPumpSaturated when the buffer is full, so callers (batcherd's
-// connection readers) can park or shed load instead of queueing
-// unboundedly.
+// ErrPumpSaturated when the buffer is full, so callers can shed load or
+// retry instead of queueing unboundedly. A caller that already bounds
+// what it can submit may lift the cap: batcherd's shards run with
+// QueueCap = math.MaxInt, because each connection's window bounds the
+// edge.
 
 import (
 	"errors"
@@ -91,56 +93,16 @@ func NewPump(rt *Runtime, cfg PumpConfig) *Pump {
 // Runtime returns the runtime this pump serves on.
 func (p *Pump) Runtime() *Runtime { return p.rt }
 
-// Cap returns the ingress queue's bound (PumpConfig.QueueCap after the
-// 8×P default is applied).
-func (p *Pump) Cap() int { return p.cfg.QueueCap }
-
 // Submit enqueues op for implicit batching and returns immediately; the
-// result arrives via PumpConfig.OnDone. It never blocks: when the pump
-// is saturated or closed it returns an error and the record is
-// untouched. Safe for concurrent use from any goroutine. The record
-// must not be reused until OnDone delivers it.
+// result arrives via PumpConfig.OnDone. It is SubmitAll of one record:
+// it never blocks, and when the pump is saturated or closed it returns
+// the error and the record is untouched. Safe for concurrent use from
+// any goroutine. The record must not be reused until OnDone delivers
+// it.
 func (p *Pump) Submit(op *OpRecord) error {
-	if op.DS == nil {
-		panic("sched: Submit with nil OpRecord.DS")
-	}
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		if tr := p.rt.tracer; tr != nil {
-			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 2, 0)
-		}
-		return ErrPumpClosed
-	}
-	depth := len(p.q) - p.head
-	if depth >= p.cfg.QueueCap {
-		p.mu.Unlock()
-		if tr := p.rt.tracer; tr != nil {
-			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 1, 0)
-		}
-		return ErrPumpSaturated
-	}
-	if p.rt.conform != nil {
-		// PhaseAdmit: the op enters the ingress queue. Stamped inside the
-		// critical section so the pump task that claims the record (under
-		// this same mutex) — and everything downstream of it, including
-		// the OnDone callback — observes the stamp without further
-		// synchronization.
-		op.Phases[obs.PhaseAdmit] = obs.Now()
-	}
-	p.q = append(p.q, op)
-	depth = len(p.q) - p.head
-	p.depth.Store(int64(depth))
-	p.mu.Unlock()
-	if tr := p.rt.tracer; tr != nil {
-		tr.Record(tr.ExternalRing(), obs.EvPumpAdmit, int64(depth), 0)
-	}
-	// Publish-then-wake: the enqueue above is ordered before this load
-	// of the parked count (mutex release + sequentially consistent
-	// atomics), so a parking pump either re-checks after the enqueue and
-	// sees the record, or parks first and is woken here.
-	p.rt.idle.wake()
-	return nil
+	ops := [1]*OpRecord{op}
+	_, err := p.SubmitAll(ops[:])
+	return err
 }
 
 // SubmitAll enqueues as many of ops as the ingress queue has room for,
@@ -158,7 +120,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 	}
 	for _, op := range ops {
 		if op.DS == nil {
-			panic("sched: SubmitAll with nil OpRecord.DS")
+			panic("sched: Submit with nil OpRecord.DS")
 		}
 	}
 	p.mu.Lock()
@@ -170,15 +132,25 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		return 0, ErrPumpClosed
 	}
 	free := p.cfg.QueueCap - (len(p.q) - p.head)
-	n = len(ops)
-	if n > free {
-		n = free
+	n = min(len(ops), free)
+	if len(p.q)+n > cap(p.q) && p.head >= len(p.q)/2 {
+		// Slide the live records to the front instead of growing: pop
+		// rewinds only when the queue empties, so under a standing
+		// backlog the array would otherwise grow by every record it
+		// ever held. Sliding only once at least half the array is
+		// popped keeps the copying amortized O(1) per record.
+		live := copy(p.q, p.q[p.head:])
+		clear(p.q[live:])
+		p.q = p.q[:live]
+		p.head = 0
 	}
 	for _, op := range ops[:n] {
 		if p.rt.conform != nil {
-			// PhaseAdmit, inside the critical section for the same ordering
-			// reason as Submit: the claiming pump worker is ordered after
-			// this store by the mutex handoff.
+			// PhaseAdmit: the op enters the ingress queue. Stamped inside
+			// the critical section so the pump task that claims the record
+			// (under this same mutex) — and everything downstream of it,
+			// including the OnDone callback — observes the stamp without
+			// further synchronization.
 			op.Phases[obs.PhaseAdmit] = obs.Now()
 		}
 		p.q = append(p.q, op)

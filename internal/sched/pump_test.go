@@ -190,6 +190,55 @@ func TestPumpSubmitAll(t *testing.T) {
 	}
 }
 
+// TestPumpStandingQueueStaysCompact pins the queue's backing array
+// under a backlog that never drains: pop rewinds only when the queue
+// empties, so without the slide in SubmitAll a depth-1 queue cycled a
+// million times grows its array by 8 B per record it ever held.
+func TestPumpStandingQueueStaysCompact(t *testing.T) {
+	rt := New(Config{Workers: 2, Seed: 23})
+	p := NewPump(rt, PumpConfig{QueueCap: 16})
+	op := &OpRecord{DS: &pumpSumDS{}, Val: 1}
+	if err := p.Submit(op); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		if err := p.Submit(op); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		p.mu.Lock()
+		p.pop()
+		p.mu.Unlock()
+	}
+	if d := p.Depth(); d != 1 {
+		t.Fatalf("Depth = %d, want 1", d)
+	}
+	if c := cap(p.q); c > 64 {
+		t.Fatalf("cap(q) = %d after 1M cycles at depth 1, want <= 64", c)
+	}
+}
+
+// TestPumpSubmitZeroAllocs pins Submit, now a one-record SubmitAll, at
+// zero allocations with both observability hooks attached.
+func TestPumpSubmitZeroAllocs(t *testing.T) {
+	skipIfRace(t)
+	rt := New(Config{Workers: 2, Seed: 29})
+	rt.SetTracer(rt.NewTracer(1024))
+	rt.SetConformance(obs.NewConform(time.Hour))
+	p := NewPump(rt, PumpConfig{QueueCap: 16})
+	op := &OpRecord{DS: &pumpSumDS{}, Val: 1}
+	got := testing.AllocsPerRun(1000, func() {
+		if err := p.Submit(op); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		p.mu.Lock()
+		p.pop()
+		p.mu.Unlock()
+	})
+	if got != 0 {
+		t.Fatalf("Submit allocates %v objects per call, want 0", got)
+	}
+}
+
 func TestPumpDoubleClose(t *testing.T) {
 	rt := New(Config{Workers: 2, Seed: 5})
 	p := NewPump(rt, PumpConfig{})

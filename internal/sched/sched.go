@@ -287,8 +287,6 @@ type Runtime struct {
 	panicMu  sync.Mutex
 	panicVal any
 	panicked bool
-
-	metrics Metrics
 }
 
 // abortSignal is the sentinel panic value used to unwind worker stacks

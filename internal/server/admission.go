@@ -18,15 +18,14 @@ import (
 
 // edgeCounters is one shard's edge ledger, complementing the shard's
 // pump books so every routed operation is accounted for exactly once:
-// offered == completed + shed + rejected + abandoned after a drain.
+// offered == completed + shed + rejected after a drain.
 // limit and rate are the admission sampler's published operands; they
 // sit with the ledger because classify reads limit right after it
 // counts offered.
 type edgeCounters struct {
-	offered   atomic.Int64 // valid ops routed to this shard at decode
-	shed      atomic.Int64 // answered FlagErr by the backlog bound
-	rejected  atomic.Int64 // answered FlagErr without a pump (saturation cap, shutdown)
-	abandoned atomic.Int64 // retired without a response (conn died pre-pump)
+	offered  atomic.Int64 // valid ops routed to this shard at decode
+	shed     atomic.Int64 // answered FlagErr by the backlog bound
+	rejected atomic.Int64 // answered FlagErr by a closed pump
 
 	limit atomic.Int64  // backlog bound in ops; 0 = unlimited (SLO off, or nothing measured yet)
 	rate  atomic.Uint64 // math.Float64bits of μ, completions per second
@@ -48,12 +47,11 @@ const (
 )
 
 // backlog returns shard i's standing operations: offered and not yet
-// answered — the pump queue, the pending array, the running batch and
-// operations parked at the edge on a full queue.
+// answered — the pump queue, the pending array and the running batch.
 func (s *Server) backlog(i int) int64 {
 	e := &s.edge[i]
 	_, completed, _ := s.router.Shard(i).Books()
-	return e.offered.Load() - completed - e.shed.Load() - e.rejected.Load() - e.abandoned.Load()
+	return e.offered.Load() - completed - e.shed.Load() - e.rejected.Load()
 }
 
 // admitRate is the sampler step: μ after a tick that measured sample
@@ -71,9 +69,8 @@ func admitRate(mu float64, prevBusy bool, sample float64, busy bool) float64 {
 // admitLimit converts μ into the backlog bound. It is unlimited (0)
 // until a completion has been measured; never below workers, so the
 // shard can always form one full batch and keep measuring; and never
-// above queueCap, because past the pump's queue an operation parks its
-// whole connection at the edge and the frames behind it wait unread in
-// the socket, where the ledger cannot see them.
+// above queueCap (Config.QueueCap), the measured ceiling of DESIGN.md
+// §15: without it an overload's shed p99 rose to 0.7–0.95 s.
 func admitLimit(mu float64, slo time.Duration, workers, queueCap int) int64 {
 	if mu <= 0 {
 		return 0
@@ -119,7 +116,7 @@ func (s *Server) runAdmission() {
 			st.mu = admitRate(st.mu, st.busy, sample, busy)
 			st.completed, st.busy = completed, busy
 			e.rate.Store(math.Float64bits(st.mu))
-			e.limit.Store(admitLimit(st.mu, s.cfg.SLO, workers, sh.Pump().Cap()))
+			e.limit.Store(admitLimit(st.mu, s.cfg.SLO, workers, s.cfg.QueueCap))
 		}
 	}
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"testing"
 	"time"
-
-	"batcher/internal/sched"
 )
 
 // TestAdmitRate pins the sampler step: a tick busy at both ends is a
@@ -35,16 +33,18 @@ func TestAdmitRate(t *testing.T) {
 
 // TestAdmitLimit pins the clamp: unlimited until a completion has been
 // measured, μ·SLO/admitSafety in between, never below one batch nor
-// above the pump's queue — whose default the bound reads from the pump.
+// above QueueCap — whose 8×P default Start resolves, since the shard
+// pumps themselves run uncapped.
 func TestAdmitLimit(t *testing.T) {
 	const workers = 2
-	rt := sched.New(sched.Config{Workers: workers})
-	defaultCap := sched.NewPump(rt, sched.PumpConfig{}).Cap()
-	if defaultCap != 8*workers {
-		t.Fatalf("default pump Cap() = %d, want %d", defaultCap, 8*workers)
+	s, err := Start(Config{Workers: workers})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	if got := sched.NewPump(rt, sched.PumpConfig{QueueCap: 128}).Cap(); got != 128 {
-		t.Fatalf("pump Cap() = %d, want 128", got)
+	defaultCap := s.cfg.QueueCap
+	s.Shutdown()
+	if defaultCap != 8*workers {
+		t.Fatalf("default QueueCap = %d, want %d", defaultCap, 8*workers)
 	}
 	for _, tc := range []struct {
 		name     string

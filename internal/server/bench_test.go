@@ -21,11 +21,7 @@ import (
 func BenchmarkServerHighFanIn(b *testing.B) {
 	for _, conns := range []int{4, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			// QueueCap is sized to the offered load (up to 1024 conns x 16
-			// in flight): the default 8xP queue would park nearly every op
-			// in the saturation path and the bench would measure parking,
-			// not the edge.
-			s, err := server.Start(server.Config{Workers: 4, Seed: 43, QueueCap: 4096})
+			s, err := server.Start(server.Config{Workers: 4, Seed: 43})
 			if err != nil {
 				b.Fatalf("Start: %v", err)
 			}
@@ -33,7 +29,7 @@ func BenchmarkServerHighFanIn(b *testing.B) {
 			d, err := loadgen.NewDriver(loadgen.Workload{
 				Addr:     s.Addr().String(),
 				Conns:    conns,
-				Pipeline: 16,
+				Window:   16,
 				DS:       server.DSHashmap,
 				ReadFrac: 0.5,
 				KeySpace: 1 << 14,
@@ -71,22 +67,23 @@ func BenchmarkServerHighFanIn(b *testing.B) {
 	}
 }
 
-// BenchmarkServerOverload measures the serving edge past saturation.
-// The hashmap's batch cost is inflated by a 50µs sleep (as in the
-// brownout tests), which costs over 100µs here, so capacity measures
-// 14–23k ops/s; 64 pre-dialed connections oversubscribe it with 2x and
-// 10x closed-loop in-flight load — with admission control off (every
-// excess op takes the saturation-park path) and on (the backlog bound
-// sheds the excess at the edge with a fast FlagErr). goodput-ops/s is
-// the headline: served operations per second, which is what shedding
-// protects; ops/s counts a shed as throughput. shed-frac reports how
-// much of the offered load the bound refused; errors are expected
-// there, not a failure.
+// BenchmarkServerOverload measures the serving edge past capacity. The
+// hashmap's batch cost is inflated by a 50µs sleep (as in the brownout
+// tests), which costs over 100µs here, so capacity measures 14–23k
+// ops/s; 64 pre-dialed connections oversubscribe it with 2x and 10x
+// closed-loop in-flight load — with admission control off (every excess
+// op queues in its shard's pump, bounded only by the connection
+// windows, and waits out the whole backlog) and on (the backlog bound,
+// at most QueueCap, sheds the excess at the edge with a fast FlagErr).
+// goodput-ops/s is the headline: served operations per second, which is
+// what shedding protects; ops/s counts a shed as throughput. shed-frac
+// reports how much of the offered load the bound refused; errors are
+// expected there, not a failure.
 // Not covered by bench/: no workload there offers more than capacity.
 func BenchmarkServerOverload(b *testing.B) {
 	for _, load := range []struct {
-		name     string
-		pipeline int
+		name   string
+		window int
 	}{{"2x", 4}, {"10x", 20}} {
 		for _, admit := range []struct {
 			name string
@@ -114,7 +111,7 @@ func BenchmarkServerOverload(b *testing.B) {
 				d, err := loadgen.NewDriver(loadgen.Workload{
 					Addr:     s.Addr().String(),
 					Conns:    64,
-					Pipeline: load.pipeline,
+					Window:   load.window,
 					DS:       server.DSHashmap,
 					ReadFrac: 0.5,
 					KeySpace: 1 << 14,

@@ -35,7 +35,7 @@ func (s *Server) buildMetrics() {
 	reg.CounterFunc("batcherd_ops_accepted_total",
 		"operations admitted into a shard pump", nil, s.accepted.Load)
 	reg.CounterFunc("batcherd_ops_rejected_total",
-		"operations refused (bad op, saturation cap, shutdown)", nil, s.rejected.Load)
+		"operations refused (bad op, closed pump)", nil, s.rejected.Load)
 	reg.CounterFunc("batcherd_ops_completed_total",
 		"responses handed to connection writers", nil, s.completed.Load)
 	reg.CounterFunc("batcherd_ops_immediate_total",

@@ -8,9 +8,9 @@ package server
 // and never dup), but once a conn is registered the reactor performs
 // all its I/O with direct syscalls — the runtime poller never fires
 // because no deadline-armed Read/Write is ever issued. A self-pipe
-// registered in each epoll set delivers kicks (window freed, saturation
-// retry, shutdown) to the loop without a syscall storm: one pipe byte
-// wakes the loop no matter how many kicks queued behind it.
+// registered in each epoll set delivers kicks (window freed, shutdown)
+// to the loop without a syscall storm: one pipe byte wakes the loop no
+// matter how many kicks queued behind it.
 
 import (
 	"net"
@@ -67,9 +67,9 @@ func (p *poller) add(fd int) error {
 	return syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev)
 }
 
-// mod toggles read interest: a parked conn (window full, saturation,
-// quit) keeps its registration but stops generating events, so a
-// level-triggered full socket buffer cannot spin the loop.
+// mod toggles read interest: a parked conn (window full, quit) keeps
+// its registration but stops generating events, so a level-triggered
+// full socket buffer cannot spin the loop.
 func (p *poller) mod(fd int, readable bool) {
 	var events uint32
 	if readable {

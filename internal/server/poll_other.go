@@ -4,11 +4,10 @@ package server
 
 // Portable edge: without epoll, each conn keeps a dedicated reader
 // goroutine (as before the reactor), but it shares the reactor's entire
-// state machine — ingest, bulk submission, saturation parking, the
-// refs+outN window — and the shared writer loops still coalesce
-// responses across connections. Parking is a channel wait instead of an
-// epoll interest toggle; idle deadlines ride on net.Conn read deadlines
-// as they did pre-reactor.
+// state machine — ingest, bulk submission, the refs+outN window — and
+// the shared writer loops still coalesce responses across connections.
+// Parking is a channel wait instead of an epoll interest toggle; idle
+// deadlines ride on net.Conn read deadlines as they did pre-reactor.
 //
 // The portablepoll tag exists so CI on linux can run the server suite
 // against this file; no shipped build sets it.
@@ -16,8 +15,6 @@ package server
 import (
 	"net"
 	"time"
-
-	"batcher/internal/obs"
 )
 
 // reactorRunsLoops: no loop goroutines; conns read on their own.
@@ -76,8 +73,7 @@ func (c *conn) tryWrite(b []byte) (int, bool, error) {
 }
 
 // serveConn is the per-conn reader: blocking reads feeding the shared
-// ingest path, parking on the resume channel when the window fills or
-// the pump saturates, and running its own deadline sweep while parked.
+// ingest path, parking on the resume channel when the window fills.
 func (l *rloop) serveConn(c *conn) {
 	s := l.s
 	sc := edgeScratch{readBuf: make([]byte, 32<<10)}
@@ -89,9 +85,9 @@ func (l *rloop) serveConn(c *conn) {
 			return
 		}
 		if s.quitting() {
-			// Park for the drain: reject parked submissions, close when
-			// quiescent (the writer loop closes conns that still have
-			// responses in flight; DrainTimeout force-evicts the rest).
+			// Park for the drain: close when quiescent (the writer loop
+			// closes conns that still have responses in flight;
+			// DrainTimeout force-evicts the rest).
 			l.sweepQuit(c)
 			if c.state.Load() != connOpen {
 				return
@@ -107,12 +103,9 @@ func (l *rloop) serveConn(c *conn) {
 		paused := c.paused
 		c.mu.Unlock()
 		if paused {
-			timer.Reset(sweepInterval)
-			select {
-			case <-c.resume:
-			case <-timer.C:
-			}
-			l.sweepOne(c, obs.Now())
+			// A flush that frees the window, Shutdown and evict all
+			// kick the resume channel.
+			<-c.resume
 			l.resumeConn(c, &sc)
 			continue
 		}

@@ -7,12 +7,11 @@
 // strands. Invariant 1 (one batch in flight) and Invariant 2 (at most P
 // operations per batch) hold at the network edge for free.
 //
-// The ingress path is bounded end to end: each connection has an
-// in-flight window (the reader parks — stops reading the socket, which
-// is TCP backpressure — when the window is full), and the pump's queue
-// caps globally queued operations (a reader whose submission saturates
-// the queue parks on its window slot until space frees). Invalid
-// operations and shutdown races are rejected with FlagErr.
+// The ingress path is bounded end to end by each connection's
+// in-flight window: the reader parks — stops reading the socket, which
+// is TCP backpressure — when the window is full, so the server never
+// holds more than conns × Window decoded operations. Invalid operations
+// are rejected with FlagErr.
 package server
 
 import (
@@ -90,7 +89,7 @@ const (
 	// negative result, not a failure.
 	FlagOK uint8 = 1 << 0
 	// FlagErr marks a failed request: rejected without executing
-	// (malformed (ds, op) pair, saturation past the cap, shutdown) or
+	// (malformed (ds, op) pair, shed by admission control) or
 	// accepted but caught in a batch group whose BOP panicked — in which
 	// case the structure may or may not have applied the operation
 	// before panicking, and the client must treat its effect as

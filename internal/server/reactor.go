@@ -4,7 +4,7 @@ package server
 // two-goroutines-per-connection into a small set of shared loops so the
 // per-operation cost of the edge stays flat from 1 to 1024 connections.
 //
-// N reader loops (Config.ReactorLoops, NumCPU-capped) own the sockets,
+// N reader loops (min(NumCPU, 8)) own the sockets,
 // sharded by accept order. On Linux each reader loop is an epoll event
 // loop doing raw non-blocking reads into a per-loop frame buffer; one
 // read syscall carves out every complete frame the peer has pipelined,
@@ -20,14 +20,14 @@ package server
 // A connection no longer owns goroutines or channels. It keeps its
 // in-flight window — the slot accounting that maps to TCP backpressure
 // — as a counter: slots are taken when a frame is decoded and released
-// when its response bytes fully drain to the kernel. A connection that
-// cannot make progress is *parked*, never waited on:
+// when its response bytes fully drain to the kernel. The window is the
+// edge's only in-flight bound: the shard pumps run uncapped, so every
+// decoded operation is submitted at once and the server holds at most
+// conns × Window of them. A connection that cannot make progress is
+// *parked*, never waited on:
 //
 //   - window full     -> reader interest off; resumed when a flush
 //     releases slots (the writer kicks the reader loop),
-//   - pump saturated  -> decoded ops sit in conn.pending, reader
-//     interest off; retried when a completion frees queue space or on
-//     the sweep tick, rejected with FlagErr past SaturationTimeout,
 //   - peer not reading -> the write is attempted non-blocking; leftover
 //     bytes stay in conn.outbuf and the connection joins the writer
 //     loop's blocked list, evicted past WriteStallTimeout — without
@@ -37,7 +37,7 @@ package server
 //
 // Locking: conn.mu guards all per-connection state and is ordered
 // before every other lock (loop intake/registration mutexes, the
-// saturation list, the server's conn set). Loop-local structures
+// server's conn set). Loop-local structures
 // (dirty/blocked lists, scratch buffers) are touched only by their
 // loop's goroutine. Raw fd operations happen under conn.mu and check
 // the connection state first, so a concurrently evicted fd is never
@@ -90,8 +90,8 @@ const (
 	// readBufSize is each reader loop's frame buffer: one raw read can
 	// carry up to this many bytes of pipelined frames.
 	readBufSize = 64 << 10
-	// sweepInterval bounds how long idle/saturation deadlines wait for
-	// the next check; it is the epoll wait timeout.
+	// sweepInterval bounds how long idle deadlines wait for the next
+	// check; it is the epoll wait timeout.
 	sweepInterval = 50 * time.Millisecond
 	// blockedRetry is the writer loop's cadence for retrying
 	// connections whose last write could not complete.
@@ -110,25 +110,20 @@ type conn struct {
 	wl *wloop
 
 	state atomic.Int32 // connOpen/connClosed; written under mu
-	inSat atomic.Bool  // on the server's saturation retry list
 
 	mu sync.Mutex
 	// refs counts live *request records referencing this conn (decoded
-	// but not yet retired: in pending, in the pump, in a writer intake).
+	// but not yet retired: in the pump or in a writer intake).
 	// outN counts responses encoded into outbuf whose window slots are
 	// still held. refs+outN is the in-flight window usage; the reader
 	// admits a new frame only while refs+outN < Config.Window.
 	refs int
 	outN int
-	// paused: reader interest is off (window full, saturation, quit).
+	// paused: reader interest is off (window full, quit).
 	paused bool
 	// carry holds bytes of an incomplete frame (or frames decoded past
 	// the window limit) between reads.
 	carry []byte
-	// pending holds decoded operations awaiting pump admission, each
-	// still owning a window slot; satDeadline (per-op, in rq.start) is
-	// enforced by the sweep.
-	pending []*request
 	// lastFrame is the obs.Now stamp of the last complete frame (or
 	// resume), the idle-deadline clock.
 	lastFrame int64
@@ -174,11 +169,9 @@ type edgeScratch struct {
 	imms    []*request // immediate responses of the current ingest
 	recs    []*sched.OpRecord
 	// Per-shard submission scratch (submitSpans): groups buckets the
-	// current batch by target shard, touched lists the buckets in use,
-	// sat collects the saturated leftovers across shards.
+	// current batch by target shard, touched lists the buckets in use.
 	groups  [][]*request
 	touched []int
-	sat     []*request
 }
 
 // initShards pre-sizes the per-shard buckets (grown defensively by
@@ -223,8 +216,8 @@ func (w *wloop) enqueue(rq *request) {
 	}
 }
 
-// kick asks the reader loop to re-examine c (resume reading, retry
-// pending submissions) on its own goroutine.
+// kick asks the reader loop to re-examine c (resume reading) on its own
+// goroutine.
 func (l *rloop) kick(c *conn) {
 	if c.resume != nil { // fallback path: the conn's goroutine resumes itself
 		select {
@@ -253,8 +246,8 @@ func (l *rloop) drainKicks() {
 // ingest carves frames out of data (preceded by any carry from earlier
 // reads), dispatches each decoded request, and submits the pump-bound
 // batch. It returns false when the caller should stop reading this
-// conn: the conn was evicted, or parked (window full / pump saturated /
-// shutdown). data may be empty to process carry alone (resume).
+// conn: the conn was evicted, or parked (window full / shutdown). data
+// may be empty to process carry alone (resume).
 func (s *Server) ingest(c *conn, data []byte, sc *edgeScratch) bool {
 	now := obs.Now()
 	sc.subs = sc.subs[:0]
@@ -273,7 +266,7 @@ func (s *Server) ingest(c *conn, data []byte, sc *edgeScratch) bool {
 		buf = c.carry
 	}
 	for {
-		if c.refs+c.outN >= s.cfg.Window || len(c.pending) > 0 || s.quitting() {
+		if c.refs+c.outN >= s.cfg.Window || s.quitting() {
 			c.paused = true
 			break
 		}
@@ -325,7 +318,7 @@ func (s *Server) ingest(c *conn, data []byte, sc *edgeScratch) bool {
 		c.wl.enqueue(rq)
 	}
 	if len(sc.subs) > 0 {
-		s.submitBatch(c, sc)
+		s.submitSpans(c, sc.subs, sc)
 	}
 	if evicting {
 		s.evict(c, evict)
@@ -385,9 +378,8 @@ func (s *Server) classify(c *conn, q Request, sc *edgeScratch) {
 	if limit := e.limit.Load(); limit != 0 && s.backlog(sh) > limit {
 		// The shard already holds more standing work than it serves in
 		// half the SLO: shed at the edge with an immediate FlagErr — a
-		// fast no from a healthy server — instead of parking into the
-		// saturation list where the op would burn its whole timeout to
-		// learn the same answer.
+		// fast no from a healthy server — instead of queueing the op
+		// behind work that already outlasts the SLO.
 		e.shed.Add(1)
 		s.immediate.Add(1)
 		rq.flags = FlagErr
@@ -402,16 +394,13 @@ func (s *Server) classify(c *conn, q Request, sc *edgeScratch) {
 }
 
 // submitSpans groups reqs by target shard and bulk-submits each shard's
-// span with one SubmitAll — PR-7's one-lock-per-span bulk admission,
-// now per shard. Requests refused by a closed pump are rejected with
-// FlagErr inline; requests a saturated shard refused are returned for
-// the caller to park (decode order within each shard is preserved; the
-// returned slice is scratch-backed and must be copied out before the
-// next ingest on this scratch).
-func (s *Server) submitSpans(c *conn, reqs []*request, sc *edgeScratch) []*request {
+// span with one SubmitAll: one queue lock per shard span, with decode
+// order preserved within each shard.
+func (s *Server) submitSpans(c *conn, reqs []*request, sc *edgeScratch) {
 	if s.router.N() == 1 {
 		// Fast path: no grouping pass between the wire and the pump.
-		return s.submitSpan(c, 0, reqs, sc)
+		s.submitSpan(c, 0, reqs, sc)
+		return
 	}
 	sc.initShards(s.router.N())
 	touched := sc.touched[:0]
@@ -422,70 +411,28 @@ func (s *Server) submitSpans(c *conn, reqs []*request, sc *edgeScratch) []*reque
 		}
 		sc.groups[g] = append(sc.groups[g], rq)
 	}
-	sc.sat = sc.sat[:0]
 	for _, g := range touched {
 		span := sc.groups[g]
-		sc.sat = append(sc.sat, s.submitSpan(c, g, span, sc)...)
-		for i := range span {
-			span[i] = nil
-		}
+		s.submitSpan(c, g, span, sc)
+		clear(span)
 		sc.groups[g] = span[:0]
 	}
 	sc.touched = touched[:0]
-	return sc.sat
 }
 
-// submitSpan submits one shard's span in bulk and returns the
-// saturated suffix (nil when fully admitted or rejected-on-closed).
-func (s *Server) submitSpan(c *conn, shardID int, span []*request, sc *edgeScratch) []*request {
+// submitSpan submits one shard's span in bulk. The shard pumps are
+// uncapped, so SubmitAll admits the whole span unless the pump is
+// closed; whatever it did not admit is answered with FlagErr.
+func (s *Server) submitSpan(c *conn, shardID int, span []*request, sc *edgeScratch) {
 	sc.recs = sc.recs[:0]
 	for _, rq := range span {
 		sc.recs = append(sc.recs, &rq.op)
 	}
-	n, err := s.router.Shard(shardID).SubmitAll(sc.recs)
+	n, _ := s.router.Shard(shardID).SubmitAll(sc.recs)
 	if n > 0 {
 		s.accepted.Add(int64(n))
 	}
-	rest := span[n:]
-	if len(rest) == 0 {
-		return nil
-	}
-	if err == sched.ErrPumpClosed {
-		s.rejectAll(c, rest)
-		return nil
-	}
-	return rest
-}
-
-// submitBatch pushes this ingest's pump-bound operations into their
-// target shards in bulk. A saturated shard parks its unadmitted suffix
-// in c.pending (the conn is already read-paused by ingest or is paused
-// here) to be retried by completions and the sweep; a closed pump
-// rejects it.
-func (s *Server) submitBatch(c *conn, sc *edgeScratch) {
-	sat := s.submitSpans(c, sc.subs, sc)
-	if len(sat) == 0 {
-		return
-	}
-	c.mu.Lock()
-	if c.state.Load() != connOpen {
-		// Evicted while we were submitting: the admitted prefix drains
-		// through the pumps; the rest retires without responses.
-		c.mu.Unlock()
-		s.retireAbandoned(c, sat)
-		return
-	}
-	c.pending = append(c.pending, sat...)
-	c.paused = true
-	c.setReadInterestLocked(false)
-	c.mu.Unlock()
-	s.satAdd(c)
-}
-
-// rejectAll answers rest with FlagErr (saturation cap, shutdown),
-// matching the pre-reactor park-timeout semantics.
-func (s *Server) rejectAll(c *conn, rest []*request) {
-	for _, rq := range rest {
+	for _, rq := range span[n:] {
 		s.rejected.Add(1)
 		s.immediate.Add(1)
 		s.edge[rq.shard].rejected.Add(1)
@@ -494,72 +441,15 @@ func (s *Server) rejectAll(c *conn, rest []*request) {
 	}
 }
 
-// retireAbandoned drops requests whose conn died before they entered
-// the pump: no response is possible, the records just return to the
-// pool and the refs fall away.
-func (s *Server) retireAbandoned(c *conn, rqs []*request) {
-	if len(rqs) == 0 {
-		return
-	}
-	for _, rq := range rqs {
-		s.edge[rq.shard].abandoned.Add(1)
-		rq.payload = nil
-		rq.c = nil
-		s.reqPool.Put(rq)
-	}
-	c.mu.Lock()
-	c.refs -= len(rqs)
-	c.mu.Unlock()
-	s.maybeFinalize(c)
-}
-
-// resumeConn re-examines a parked conn on its reader goroutine: retry
-// the pending pump submissions, then — if the window has room and
-// nothing is pending — unpark the reader and process any stashed
-// frames. sc is the caller's scratch (the loop's on the epoll path, the
-// conn goroutine's on the fallback path).
+// resumeConn re-examines a parked conn on its reader goroutine: if the
+// window has room, unpark the reader and process any stashed frames. sc
+// is the caller's scratch (the loop's on the epoll path, the conn
+// goroutine's on the fallback path).
 func (l *rloop) resumeConn(c *conn, sc *edgeScratch) {
 	s := l.s
 	c.mu.Lock()
-	for {
-		if c.state.Load() != connOpen || !c.paused {
-			c.mu.Unlock()
-			return
-		}
-		if len(c.pending) == 0 {
-			break // fall through to unpark, mu held
-		}
-		// Check the pending batch out of the conn before unlocking for
-		// the submission: evict may run concurrently, and slice
-		// ownership must be unambiguous — whoever holds it retires it.
-		batch := c.pending
-		c.pending = nil
-		c.mu.Unlock()
-
-		// Per-shard retry: the batch may mix shards (closed-pump
-		// leftovers are rejected inside; only still-saturated ops come
-		// back).
-		rest := s.submitSpans(c, batch, sc)
-		c.mu.Lock()
-		if c.state.Load() != connOpen {
-			c.mu.Unlock()
-			s.retireAbandoned(c, rest)
-			return
-		}
-		if len(rest) == 0 {
-			c.pending = batch[:0]
-			continue
-		}
-		// Still saturated: keep the remainder (copy back into the
-		// checked-out array — rest may be scratch-backed) and stay
-		// parked.
-		c.pending = append(batch[:0], rest...)
-		c.mu.Unlock()
-		s.satAdd(c)
-		return
-	}
-	// mu held, state open, pending empty: unpark if the window allows.
-	if c.refs+c.outN >= s.cfg.Window || s.quitting() {
+	if c.state.Load() != connOpen || !c.paused ||
+		c.refs+c.outN >= s.cfg.Window || s.quitting() {
 		c.mu.Unlock()
 		return
 	}
@@ -574,42 +464,20 @@ func (l *rloop) resumeConn(c *conn, sc *edgeScratch) {
 	}
 }
 
-// sweepOne enforces c's clock-driven deadlines: saturation-expired
-// pending ops are rejected with FlagErr (each op's clock started at
-// decode), and idle reports whether the conn outlived IdleTimeout
-// without a complete frame (paused conns are exempt — they are parked
-// on us, not on the peer). retry reports a resume attempt is due.
-func (l *rloop) sweepOne(c *conn, now int64) (idle, retry bool) {
+// idleExpired reports whether c outlived IdleTimeout without a complete
+// frame (paused conns are exempt — they are parked on us, not on the
+// peer).
+func (l *rloop) idleExpired(c *conn, now int64) bool {
 	s := l.s
-	var rejects []*request
 	c.mu.Lock()
-	if c.state.Load() != connOpen {
-		c.mu.Unlock()
-		return false, false
-	}
-	idle = !c.paused && s.cfg.IdleTimeout > 0 &&
+	defer c.mu.Unlock()
+	return c.state.Load() == connOpen && !c.paused && s.cfg.IdleTimeout > 0 &&
 		now-c.lastFrame > int64(s.cfg.IdleTimeout)
-	if n := len(c.pending); n > 0 && s.cfg.SaturationTimeout > 0 {
-		cut := 0
-		for cut < n && time.Since(c.pending[cut].start) > s.cfg.SaturationTimeout {
-			cut++
-		}
-		if cut > 0 {
-			rejects = append(rejects, c.pending[:cut]...)
-			c.pending = append(c.pending[:0], c.pending[cut:]...)
-		}
-	}
-	retry = len(c.pending) > 0 || len(rejects) > 0
-	c.mu.Unlock()
-	if len(rejects) > 0 {
-		s.rejectAll(c, rejects)
-	}
-	return idle, retry
 }
 
 // sweep enforces the clock-driven edges of the conn state machine:
-// idle eviction, saturation timeouts, and (once quitting) the
-// quiescent-conn close that lets the drain finish.
+// idle eviction, and (once quitting) the quiescent-conn close that lets
+// the drain finish.
 func (l *rloop) sweep(now int64) {
 	s := l.s
 	l.mu.Lock()
@@ -627,26 +495,16 @@ func (l *rloop) sweep(now int64) {
 		}
 		if quitting {
 			l.sweepQuit(c)
-			continue
-		}
-		idle, retry := l.sweepOne(c, now)
-		if idle {
+		} else if l.idleExpired(c, now) {
 			s.evict(c, evictIdle)
-			continue
-		}
-		if retry {
-			l.resumeConn(c, &l.sc)
 		}
 	}
 }
 
-// sweepQuit parks a conn for shutdown: reading stops, parked
-// submissions are rejected (exactly what the pre-reactor saturation
-// park did at quit), and a conn with nothing in flight closes now.
-// Conns with in-flight work close from the writer loop's flush when
-// their last response drains.
+// sweepQuit parks a conn for shutdown: reading stops, and a conn with
+// nothing in flight closes now. Conns with in-flight work close from
+// the writer loop's flush when their last response drains.
 func (l *rloop) sweepQuit(c *conn) {
-	s := l.s
 	c.mu.Lock()
 	if c.state.Load() != connOpen {
 		c.mu.Unlock()
@@ -654,45 +512,10 @@ func (l *rloop) sweepQuit(c *conn) {
 	}
 	c.paused = true
 	c.setReadInterestLocked(false)
-	var rejects []*request
-	if len(c.pending) > 0 {
-		rejects = append(rejects, c.pending...)
-		c.pending = c.pending[:0]
-	}
 	quiescent := c.refs == 0 && c.outN == 0 && len(c.outbuf) == 0
 	c.mu.Unlock()
-	if len(rejects) > 0 {
-		s.rejectAll(c, rejects)
-		return
-	}
 	if quiescent {
-		s.evict(c, evictShutdown)
-	}
-}
-
-// satAdd registers a saturation-parked conn for completion-driven
-// retries (kickSaturated); the sweep is the timeout backstop.
-func (s *Server) satAdd(c *conn) {
-	if c.inSat.CompareAndSwap(false, true) {
-		s.satMu.Lock()
-		s.satConns = append(s.satConns, c)
-		s.satMu.Unlock()
-		s.satCount.Add(1)
-	}
-}
-
-// kickSaturated is called from complete() when queue space just freed:
-// every parked conn gets a resume attempt on its reader loop. The
-// atomic count keeps the common (unsaturated) case to one load.
-func (s *Server) kickSaturated() {
-	s.satMu.Lock()
-	conns := s.satConns
-	s.satConns = nil
-	s.satMu.Unlock()
-	for _, c := range conns {
-		c.inSat.Store(false)
-		s.satCount.Add(-1)
-		c.rl.kick(c)
+		l.s.evict(c, evictShutdown)
 	}
 }
 
@@ -816,7 +639,6 @@ func (w *wloop) encode(rq *request) {
 func (w *wloop) flush(c *conn, now int64) {
 	s := w.s
 	needKick := false
-	drainClose := false
 	c.mu.Lock()
 	c.wdirty = false
 	if c.state.Load() != connOpen {
@@ -856,13 +678,9 @@ func (w *wloop) flush(c *conn, now int64) {
 	c.wblocked = false
 	if c.outN > 0 {
 		c.outN = 0
-		if c.paused && len(c.pending) == 0 {
-			needKick = true
-		}
+		needKick = c.paused
 	}
-	if s.quitting() && c.refs == 0 && len(c.pending) == 0 {
-		drainClose = true
-	}
+	drainClose := s.quitting() && c.refs == 0
 	c.mu.Unlock()
 	if needKick && !drainClose {
 		c.rl.kick(c)
@@ -904,10 +722,9 @@ func (w *wloop) retryBlocked(now int64) {
 
 // evict tears a connection down from any goroutine: the state flips
 // under conn.mu (making every later fd operation a no-op), the socket
-// closes, parked submissions retire without responses, and buffered
-// output is abandoned. Operations already in the pump still complete —
-// their records are discarded by the writer loop — and the conn
-// finalizes when the last of them retires.
+// closes, and buffered output is abandoned. Operations already in the
+// pump still complete — their records are discarded by the writer loop
+// — and the conn finalizes when the last of them retires.
 func (s *Server) evict(c *conn, reason evictReason) {
 	c.mu.Lock()
 	if c.state.Load() != connOpen {
@@ -916,12 +733,9 @@ func (s *Server) evict(c *conn, reason evictReason) {
 	}
 	c.detachLocked() // platform: epoll DEL + fd map removal
 	c.state.Store(connClosed)
-	pend := c.pending
-	c.pending = nil
 	c.outbuf = nil
 	c.carry = nil
 	c.outN = 0
-	c.refs -= len(pend)
 	c.paused = true
 	c.mu.Unlock()
 	c.nc.Close()
@@ -933,12 +747,6 @@ func (s *Server) evict(c *conn, reason evictReason) {
 	}
 	if reason.abnormal() {
 		s.evictions.Add(1)
-	}
-	for _, rq := range pend {
-		s.edge[rq.shard].abandoned.Add(1)
-		rq.payload = nil
-		rq.c = nil
-		s.reqPool.Put(rq)
 	}
 	s.maybeFinalize(c)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -33,18 +34,15 @@ type Config struct {
 	// Seed seeds the schedulers' RNGs and the hashed structures (each
 	// shard derives its own sub-seeds, so shards are not clones).
 	Seed uint64
-	// QueueCap bounds each shard's pump ingress queue (see
-	// sched.PumpConfig). Per shard: saturation is a per-shard condition.
+	// QueueCap is the ceiling of each shard's admission bound when SLO
+	// is set (DESIGN.md §15). It does not cap the shard pumps: they run
+	// uncapped, because Window already bounds what each connection can
+	// have decoded and in flight. Defaults to 8×Workers.
 	QueueCap int
 	// Window bounds each connection's in-flight requests. The reader
 	// stops reading the socket while the window is full, so backpressure
 	// propagates to the client as TCP flow control. Defaults to 32.
 	Window int
-	// ReactorLoops sets the reactor pool size: the number of shared
-	// reader loops and writer loops serving all connections (sharded by
-	// accept order). Defaults to min(NumCPU, 8); values below 1 are
-	// raised to 1. More loops than cores only adds contention.
-	ReactorLoops int
 	// DrainTimeout bounds how long Shutdown waits for in-flight
 	// responses to reach slow clients before forcing connections closed.
 	// Defaults to 5s.
@@ -64,12 +62,6 @@ type Config struct {
 	// blocked list and never delays its loop-mates. Defaults to 30s;
 	// negative disables.
 	WriteStallTimeout time.Duration
-	// SaturationTimeout caps the total time a decoded request may park
-	// waiting for space in a saturated pump queue before it is rejected
-	// with FlagErr. The park is per shard — only the target shard's
-	// queue being full parks the op. Defaults to 30s; negative disables
-	// the cap (park until shutdown, the pre-containment behavior).
-	SaturationTimeout time.Duration
 	// WrapDS, if non-nil, wraps each served structure as it is
 	// installed; shard is the owning shard's index and ds the
 	// structure's wire identifier (DSCounter, ...). Returning b
@@ -96,10 +88,10 @@ type Config struct {
 	SlowWindow time.Duration
 	// SLO, when positive, turns on admission control (DESIGN.md §15):
 	// each shard's standing backlog is bounded at what its measured
-	// completion rate serves in half the SLO, and an operation that
-	// would stand deeper is shed at the edge with a fast FlagErr
-	// instead of parking into the saturation list. Zero disables
-	// admission control (SaturationTimeout alone bounds a park).
+	// completion rate serves in half the SLO (at most QueueCap), and an
+	// operation that would stand deeper is shed at the edge with a fast
+	// FlagErr. Zero disables admission control: every valid operation
+	// is queued, bounded only by the connection windows.
 	SLO time.Duration
 }
 
@@ -130,22 +122,14 @@ type Server struct {
 	connWG sync.WaitGroup // one per live conn; released at finalize
 	srvWG  sync.WaitGroup // accept + router.Serve + reactor loops
 
-	// Saturation retry list: conns parked on a full shard queue, kicked
-	// by the next completion (reactor.go satAdd/kickSaturated). The
-	// list is process-wide but admission is per shard: a kicked conn
-	// re-submits per shard and re-parks if its shard is still full.
-	satMu    sync.Mutex
-	satConns []*conn
-	satCount atomic.Int64
-
 	// The per-shard edge ledger that makes the shard books balance —
-	// offered == completed + shed + rejected + abandoned — and carries
+	// offered == completed + shed + rejected — and carries
 	// the admission bound (admission.go).
 	edge []edgeCounters
 
 	curConns  atomic.Int64
 	accepted  atomic.Int64 // operations admitted into a shard pump (all shards)
-	rejected  atomic.Int64 // operations refused (bad op, saturation cap, shutdown)
+	rejected  atomic.Int64 // operations refused (bad op, closed pump)
 	completed atomic.Int64 // responses retired by the writer loops
 	immediate atomic.Int64 // responses that bypassed the pumps (stats, rejections)
 	failed    atomic.Int64 // accepted operations completed with Err (contained batch panic)
@@ -213,15 +197,6 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.ReactorLoops <= 0 {
-		cfg.ReactorLoops = runtime.NumCPU()
-		if cfg.ReactorLoops > 8 {
-			cfg.ReactorLoops = 8
-		}
-	}
-	if cfg.ReactorLoops < 1 {
-		cfg.ReactorLoops = 1
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
@@ -236,12 +211,6 @@ func Start(cfg Config) (*Server, error) {
 		cfg.WriteStallTimeout = 30 * time.Second
 	case cfg.WriteStallTimeout < 0:
 		cfg.WriteStallTimeout = 0
-	}
-	switch {
-	case cfg.SaturationTimeout == 0:
-		cfg.SaturationTimeout = 30 * time.Second
-	case cfg.SaturationTimeout < 0:
-		cfg.SaturationTimeout = 0
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -267,10 +236,13 @@ func Start(cfg Config) (*Server, error) {
 		return rq
 	}
 	s.router = shard.NewRouter(shard.Config{
-		Shards:   cfg.Shards,
-		Workers:  cfg.Workers,
-		Seed:     cfg.Seed,
-		QueueCap: cfg.QueueCap,
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Seed:    cfg.Seed,
+		// No queue cap: each connection's window already bounds what
+		// the edge can have decoded, so every op waits in the pump FIFO
+		// that the pump tasks and the launch-time top-up drain.
+		QueueCap: math.MaxInt,
 		NewDS: func(i int) []sched.Batched {
 			// Each shard gets its own structure instances, seeded
 			// distinctly (a shard is an independent batching domain, not
@@ -286,13 +258,17 @@ func Start(cfg Config) (*Server, error) {
 		},
 		OnDone: s.complete,
 	})
+	if s.cfg.QueueCap <= 0 {
+		s.cfg.QueueCap = 8 * s.Runtime().Workers()
+	}
 	// Metrics/tracing attach to the runtimes and must happen before the
 	// pumps occupy them.
 	s.buildMetrics()
 
 	// Build the reactor pool before accepting: conns shard onto the
-	// loops at accept time.
-	s.rloops = make([]*rloop, cfg.ReactorLoops)
+	// loops at accept time. More loops than cores only adds contention.
+	loops := min(runtime.NumCPU(), 8)
+	s.rloops = make([]*rloop, loops)
 	for i := range s.rloops {
 		l := &rloop{
 			s:     s,
@@ -311,7 +287,7 @@ func Start(cfg Config) (*Server, error) {
 		}
 		s.rloops[i] = l
 	}
-	s.wloops = make([]*wloop, cfg.ReactorLoops)
+	s.wloops = make([]*wloop, loops)
 	for i := range s.wloops {
 		s.wloops[i] = &wloop{s: s, id: i, notify: make(chan struct{}, 1)}
 	}
@@ -357,10 +333,10 @@ func (s *Server) Shutdown() {
 	s.stop.Do(func() {
 		s.ln.Close()
 		close(s.quit)
-		// Wake every loop: reader loops park their conns (sweepQuit) and
-		// reject parked submissions; admitted operations keep draining
-		// through the shard pumps and the writer loops, which close each
-		// conn as its last response leaves.
+		// Wake every loop: reader loops park their conns (sweepQuit);
+		// every decoded operation keeps draining through the shard pumps
+		// and the writer loops, which close each conn as its last
+		// response leaves.
 		s.wakeEdge()
 		// Past the drain budget, force the remaining conns down entirely
 		// so stalled writers abandon their responses and release their
@@ -474,11 +450,9 @@ func (s *Server) shardFor(ds uint8, key int64) int {
 // complete is the router's OnDone callback, invoked on a scheduler
 // worker of the owning shard after a batch fills in the record. It
 // never blocks: the response is enqueued to the conn's writer loop (a
-// bounded append), and if any conns are parked on a saturated queue,
-// the space this completion just freed triggers their retry. An
-// operation whose batch group panicked (op.Err set by the
-// contained-panic path) is answered with FlagErr — failure is per
-// operation, not per shard, connection, or process.
+// bounded append). An operation whose batch group panicked (op.Err set
+// by the contained-panic path) is answered with FlagErr — failure is
+// per operation, not per shard, connection, or process.
 func (s *Server) complete(shardID int, op *sched.OpRecord) {
 	rq := op.Aux.(*request)
 	if op.Err != nil {
@@ -520,9 +494,6 @@ func (s *Server) complete(shardID int, op *sched.OpRecord) {
 		})
 	}
 	rq.c.wl.enqueue(rq)
-	if s.satCount.Load() > 0 {
-		s.kickSaturated()
-	}
 }
 
 // String describes the server for logs.

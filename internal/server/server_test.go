@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -264,49 +265,57 @@ func TestServerBatchingAndStats(t *testing.T) {
 	}
 }
 
-// TestServerBackpressure saturates a deliberately tiny ingress (window
-// 2, pump queue 2) with pipelined load from many connections. The
-// bounded window parks readers instead of queueing unboundedly, so
-// every request must still complete — exactly one response each, none
-// rejected, none lost — just slower.
+// TestServerBackpressure drives a deliberately tiny window (2) with
+// pipelined load from many connections, on one shard and on four. The
+// window parks readers — the frames behind it wait in the socket, which
+// is TCP backpressure on the client — so the server never holds more
+// than conns × Window decoded ops, and every request must still
+// complete: exactly one response each, none rejected, none lost, just
+// slower.
 func TestServerBackpressure(t *testing.T) {
-	s := startServer(t, server.Config{Workers: 2, Seed: 25, Window: 2, QueueCap: 2})
-	const conns, per = 8, 100
-	res, err := loadgen.Run(loadgen.Workload{
-		Addr:   s.Addr().String(),
-		Conns:  conns,
-		Ops:    per,
-		Window: 8, // deliberately deeper than the server window
-		DS:     server.DSCounter,
-		Seed:   25,
-	})
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("saturation rejected %d ops; parking must be lossless: %v", res.Errors, res)
-	}
-	if res.Responses != conns*per {
-		t.Fatalf("responses %d, want %d (lost or duplicated)", res.Responses, conns*per)
-	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// QueueCap 2 caps nothing without an SLO: the pumps are uncapped.
+			s := startServer(t, server.Config{Workers: 2, Shards: shards, Seed: 25, Window: 2, QueueCap: 2})
+			const conns, per = 8, 100
+			res, err := loadgen.Run(loadgen.Workload{
+				Addr:     s.Addr().String(),
+				Conns:    conns,
+				Ops:      per,
+				Window:   8, // deliberately deeper than the server window
+				DS:       server.DSHashmap,
+				ReadFrac: 0.5,
+				Seed:     25,
+			})
+			if err != nil {
+				t.Fatalf("loadgen: %v", err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("backpressure rejected %d ops; it must be lossless: %v", res.Errors, res)
+			}
+			if res.Responses != conns*per {
+				t.Fatalf("responses %d, want %d (lost or duplicated)", res.Responses, conns*per)
+			}
 
-	c, err := loadgen.Dial(s.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if st.Accepted != conns*per {
-		t.Fatalf("stats accepted %d, want %d", st.Accepted, conns*per)
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("stats rejected %d, want 0", st.Rejected)
-	}
-	if st.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after quiescence, want 0", st.QueueDepth)
+			c, err := loadgen.Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			if st.Accepted != conns*per {
+				t.Fatalf("stats accepted %d, want %d", st.Accepted, conns*per)
+			}
+			if st.Rejected != 0 {
+				t.Fatalf("stats rejected %d, want 0", st.Rejected)
+			}
+			if st.QueueDepth != 0 {
+				t.Fatalf("queue depth %d after quiescence, want 0", st.QueueDepth)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ type Stats struct {
 	// Conns is the current connection count.
 	Conns int64 `json:"conns"`
 	// Accepted, Rejected, and Completed count operations admitted into
-	// a shard pump, refused (bad op, saturation cap, shutdown), and
+	// a shard pump, refused (bad op, closed pump), and
 	// responded to. Immediate counts the subset of Completed that never
 	// entered a pump (stats reads and rejections), so the books
 	// balance as completed == accepted + immediate once the server is
@@ -42,8 +42,8 @@ type Stats struct {
 	// (before admission control), summed across shards; Shed counts
 	// those refused by the admission backlog bound (fast FlagErr at the
 	// edge, a subset of Immediate). With admission control off, Shed is
-	// 0 and Offered == Accepted + Rejected + abandoned ops. Per shard,
-	// offered == completed + shed + rejected + abandoned after a drain.
+	// 0 and Offered == Accepted + the closed-pump share of Rejected. Per
+	// shard, offered == completed + shed + rejected after a drain.
 	Offered int64 `json:"offered"`
 	Shed    int64 `json:"shed"`
 	// AdmitSLONS is the configured admission SLO (Config.SLO) in
@@ -106,15 +106,13 @@ type ShardStats struct {
 	Accepted  int64 `json:"accepted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
-	// Offered/Shed/Rejected/Abandoned extend the ledger to the edge:
-	// offered ops routed here at decode, shed by the admission bound,
-	// rejected without a pump (saturation cap, shutdown), and abandoned
-	// (conn died before the pump). After a drain,
-	// offered == completed + shed + rejected + abandoned.
-	Offered   int64 `json:"offered"`
-	Shed      int64 `json:"shed"`
-	Rejected  int64 `json:"rejected"`
-	Abandoned int64 `json:"abandoned"`
+	// Offered/Shed/Rejected extend the ledger to the edge: offered ops
+	// routed here at decode, shed by the admission bound, and rejected
+	// by a closed pump. After a drain,
+	// offered == completed + shed + rejected.
+	Offered  int64 `json:"offered"`
+	Shed     int64 `json:"shed"`
+	Rejected int64 `json:"rejected"`
 	// AdmitLimit and AdmitRatePerSec are the admission bound's operands
 	// (DESIGN.md §15): the standing-backlog limit in ops (0 = unlimited:
 	// admission off, or no completion measured yet) and μ, the measured
@@ -183,7 +181,6 @@ func (s *Server) Snapshot() Stats {
 			Offered:         e.offered.Load(),
 			Shed:            e.shed.Load(),
 			Rejected:        e.rejected.Load(),
-			Abandoned:       e.abandoned.Load(),
 			AdmitLimit:      e.limit.Load(),
 			AdmitRatePerSec: math.Float64frombits(e.rate.Load()),
 			MeasuredP999NS:  s.shardM[i].totalHist.Quantile(0.999),

@@ -80,8 +80,8 @@ type Config struct {
 	// shards do not take correlated steal decisions.
 	Seed uint64
 	// QueueCap bounds each shard's pump ingress queue (per shard, not
-	// global: saturation is a per-shard condition). Zero means the
-	// pump's default, 8×P.
+	// global). Zero means the pump's default, 8×P; batcherd passes
+	// math.MaxInt, since its connection windows bound the edge.
 	QueueCap int
 	// NewDS builds shard i's structure set, indexed by the wire ds
 	// code. The router itself never interprets the structures — it only
@@ -133,7 +133,7 @@ func (sh *Shard) DS(i int) sched.Batched {
 // SubmitAll bulk-submits ops into the shard's pump (one lock, one
 // wake — see sched.Pump.SubmitAll) and counts the admitted prefix into
 // the shard's books. Contract is the pump's: the first n are admitted,
-// the rest remain the caller's to park or reject.
+// the rest remain the caller's to retry or reject.
 func (sh *Shard) SubmitAll(ops []*sched.OpRecord) (n int, err error) {
 	n, err = sh.pump.SubmitAll(ops)
 	if n > 0 {
