@@ -3,15 +3,32 @@
 // Paul–Vishkin–Wagener and the STL bulk-operation dictionaries). The
 // batched operation exploits bucket disjointness:
 //
-//  1. hash every operation to its bucket (parallel),
-//  2. group operations by bucket (sequential — a batch has at most P
-//     operations),
-//  3. apply each bucket's group independently, in parallel: distinct
-//     buckets touch disjoint state, so no synchronization is needed,
-//  4. if the load factor crossed a threshold, rebuild the table in
-//     parallel. With table doubling, old bucket i redistributes only
-//     into new buckets i and i+oldLen, so the rehash parallelizes over
-//     old buckets with disjoint writes.
+//  1. hash every operation to its bucket and pack the pair
+//     bucket<<32 | compaction index into one key,
+//  2. group operations by bucket by sorting those keys: one bucket's
+//     operations become a contiguous run, and the index in the low
+//     bits keeps same-key operations in compaction order (the batch's
+//     linearization order) without a stable sort,
+//  3. apply the groups in a parallel loop: distinct buckets touch
+//     disjoint state, so no synchronization is needed,
+//  4. if the load factor crossed a threshold, rebuild the table in two
+//     passes: count the entries each new bucket receives, then carve
+//     every new bucket out of one slab (with a slot of slack) and fill
+//     it. With table doubling, old bucket i redistributes only into new
+//     buckets i and i+oldLen, so both passes parallelize over old
+//     buckets with disjoint writes, and a prefix sum gives the offsets.
+//
+// Steps 1–3 exist to hand disjoint buckets to parallel tasks. A batch
+// with nothing to run in parallel — at most applyGrain operations, as
+// every served batch of at most P is, or a one-worker runtime — skips
+// them and applies its operations inline in compaction order, which is
+// the same linearization.
+//
+// The sort keys, the group starts and the per-group size changes live
+// in scratch slices reused across batches, and the parallel loop body
+// is bound once at construction, so a warmed-up batch allocates
+// nothing unless a Put outgrows its bucket's slack; a rebuild makes
+// O(1) allocations, not one per bucket.
 //
 // Amortized Θ(1) work per operation, with Θ(n)-work rebuild batches —
 // the same amortized profile as the paper's stack example, handled by
@@ -19,6 +36,9 @@
 package hashmap
 
 import (
+	"slices"
+
+	"batcher/internal/prefix"
 	"batcher/internal/rng"
 	"batcher/internal/sched"
 )
@@ -35,22 +55,47 @@ const (
 
 type entry struct{ k, v int64 }
 
-const initialBuckets = 8
+const (
+	initialBuckets = 8
+	// applyGrain is the number of bucket groups one parallel task
+	// applies; a batch of at most this many operations runs inline.
+	applyGrain = 32
+	// rebuildGrain is the number of buckets one rebuild task handles.
+	rebuildGrain = 256
+)
 
 // Batched is the implicitly batched hash map.
+//
+// The scratch fields are reused across batches. Reuse is legal because
+// the scheduler runs at most one batch at a time (Invariant 1): RunBatch
+// is never re-entered concurrently on the same structure.
 type Batched struct {
 	buckets [][]entry
 	size    int
 	seed    uint64
 	// Rebuilds counts table doublings/halvings (for tests and benches).
 	Rebuilds int
+
+	ops       []*sched.OpRecord // the batch being applied
+	keys      []uint64          // bucket<<32 | compaction index, sorted
+	starts    []int             // group g is keys[starts[g]:starts[g+1]]
+	deltas    []int             // group g's change to size
+	applyBody func(*sched.Ctx, int)
 }
 
 var _ sched.Batched = (*Batched)(nil)
 
 // NewBatched returns an empty map; seed fixes the hash function.
 func NewBatched(seed uint64) *Batched {
-	return &Batched{buckets: make([][]entry, initialBuckets), seed: seed}
+	b := &Batched{buckets: make([][]entry, initialBuckets), seed: seed}
+	b.applyBody = func(_ *sched.Ctx, g int) {
+		d := 0
+		for _, k := range b.keys[b.starts[g]:b.starts[g+1]] {
+			d += b.applyToBucket(int(k>>32), b.ops[uint32(k)])
+		}
+		b.deltas[g] = d
+	}
+	return b
 }
 
 // Len returns the number of keys. Quiescent only.
@@ -91,47 +136,49 @@ func (b *Batched) Del(c *sched.Ctx, key int64) bool {
 
 // RunBatch implements sched.Batched.
 func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
-	// Step 1: hash each op (parallel; cheap, but it is the honest place
-	// for the hashing work in the batch dag).
-	idx := make([]int, len(ops))
-	c.For(0, len(ops), 16, func(_ *sched.Ctx, i int) {
-		idx[i] = b.hash(ops[i].Key)
-	})
-
-	// Step 2: group by bucket, preserving compaction order (the batch's
-	// linearization order for same-key operations).
-	groups := map[int][]*sched.OpRecord{}
-	order := make([]int, 0, len(ops))
-	for i, op := range ops {
-		bi := idx[i]
-		if _, seen := groups[bi]; !seen {
-			order = append(order, bi)
+	if c.Workers() == 1 || len(ops) <= applyGrain {
+		// Nothing would run in parallel: apply in compaction order,
+		// the order the bucket groups keep anyway.
+		for _, op := range ops {
+			b.size += b.applyToBucket(b.hash(op.Key), op)
 		}
-		groups[bi] = append(groups[bi], op)
+	} else {
+		b.applyGrouped(c, ops)
 	}
 
-	// Step 3: apply bucket groups in parallel; sizeDelta per group so
-	// that parallel tasks never write shared state.
-	deltas := make([]int, len(order))
-	c.For(0, len(order), 1, func(_ *sched.Ctx, gi int) {
-		bi := order[gi]
-		d := 0
-		for _, op := range groups[bi] {
-			d += b.applyToBucket(bi, op)
-		}
-		deltas[gi] = d
-	})
-	for _, d := range deltas {
-		b.size += d
-	}
-
-	// Step 4: resize when over- or under-loaded.
+	// Resize when over- or under-loaded.
 	switch {
 	case b.size > 3*len(b.buckets): // load factor 3
 		b.resize(c, len(b.buckets)*2)
 	case len(b.buckets) > initialBuckets && b.size < len(b.buckets)/2:
 		b.resize(c, len(b.buckets)/2)
 	}
+}
+
+// applyGrouped sorts ops into bucket groups and applies the groups in
+// parallel, each task writing only its own groups' buckets and deltas.
+func (b *Batched) applyGrouped(c *sched.Ctx, ops []*sched.OpRecord) {
+	keys := b.keys[:0]
+	for i, op := range ops {
+		keys = append(keys, uint64(b.hash(op.Key))<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	starts := b.starts[:0]
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			starts = append(starts, i)
+		}
+	}
+	groups := len(starts)
+	starts = append(starts, len(keys))
+	b.ops, b.keys, b.starts = ops, keys, starts
+	b.deltas = slices.Grow(b.deltas[:0], groups)[:groups]
+
+	c.For(0, groups, applyGrain, b.applyBody)
+	for _, d := range b.deltas {
+		b.size += d
+	}
+	b.ops = nil // the records belong to their callers once the batch lands
 }
 
 // applyToBucket performs one operation on bucket bi, returning the size
@@ -176,19 +223,38 @@ func (b *Batched) applyToBucket(bi int, op *sched.OpRecord) int {
 	}
 }
 
-// resize rebuilds the table with newLen buckets (a power of two), in
-// parallel over old buckets. Growing by 2x sends old bucket i only to
-// new buckets i and i+oldLen (disjoint per task); halving sends old
-// buckets i and i+newLen to new bucket i, handled by having each task
-// own one *new* bucket and pull from its (at most two) sources.
+// resize rebuilds the table with newLen buckets (a power of two) in two
+// parallel passes. Pass 1 counts each new bucket's entries plus one slot
+// of slack; an inclusive prefix sum turns the counts into each bucket's
+// end in one slab. Pass 2 carves the buckets out of the slab and fills
+// them. Growing by 2x sends old bucket i only to new buckets i and
+// i+oldLen, so both passes run a task per old bucket that writes only
+// those two; shrinking gives each task one new bucket, which pulls from
+// its source old buckets i, i+newLen, ....
 func (b *Batched) resize(c *sched.Ctx, newLen int) {
 	b.Rebuilds++
 	old := b.buckets
 	fresh := make([][]entry, newLen)
-	b.buckets = fresh
+	b.buckets = fresh // b.hash now maps keys into fresh
+	ends := make([]int64, newLen)
+	carve := func(slab []entry, i int) {
+		lo := int64(0)
+		if i > 0 {
+			lo = ends[i-1]
+		}
+		fresh[i] = slab[lo:lo:ends[i]]
+	}
 	if newLen >= len(old) {
-		// Grow: task per old bucket, writing two owned new buckets.
-		c.For(0, len(old), 4, func(_ *sched.Ctx, i int) {
+		c.For(0, len(old), rebuildGrain, func(_ *sched.Ctx, i int) {
+			ends[i], ends[i+len(old)] = 1, 1
+			for _, e := range old[i] {
+				ends[b.hash(e.k)]++
+			}
+		})
+		slab := make([]entry, prefix.InclusiveInt64(c, ends))
+		c.For(0, len(old), rebuildGrain, func(_ *sched.Ctx, i int) {
+			carve(slab, i)
+			carve(slab, i+len(old))
 			for _, e := range old[i] {
 				ni := b.hash(e.k)
 				fresh[ni] = append(fresh[ni], e)
@@ -196,13 +262,19 @@ func (b *Batched) resize(c *sched.Ctx, newLen int) {
 		})
 		return
 	}
-	// Shrink: task per new bucket, pulling from its source old buckets.
 	ratio := len(old) / newLen
-	c.For(0, newLen, 4, func(_ *sched.Ctx, i int) {
+	c.For(0, newLen, rebuildGrain, func(_ *sched.Ctx, i int) {
+		n := 1
 		for r := 0; r < ratio; r++ {
-			for _, e := range old[i+r*newLen] {
-				fresh[i] = append(fresh[i], e)
-			}
+			n += len(old[i+r*newLen])
+		}
+		ends[i] = int64(n)
+	})
+	slab := make([]entry, prefix.InclusiveInt64(c, ends))
+	c.For(0, newLen, rebuildGrain, func(_ *sched.Ctx, i int) {
+		carve(slab, i)
+		for r := 0; r < ratio; r++ {
+			fresh[i] = append(fresh[i], old[i+r*newLen]...)
 		}
 	})
 }

@@ -187,3 +187,167 @@ func TestManyRunsStable(t *testing.T) {
 		t.Fatalf("Len = %d after balanced rounds", b.Len())
 	}
 }
+
+// TestBatchesAgainstMapOracle drives RunBatch directly with random
+// batches, served-size (1..P operations) and bulk (512), on runtimes of
+// P = 1, 2 and 4 workers, and checks every result against a map applied
+// one operation at a time in compaction order. A few hot keys put
+// same-key Put/Get/Del runs inside one batch. A Put-heavy phase grows
+// the table through several doublings and a Del-heavy phase shrinks it
+// again; on P > 1 the bulk batches apply their groups in parallel.
+func TestBatchesAgainstMapOracle(t *testing.T) {
+	const space, bulk = 6000, 512
+	for _, p := range []int{1, 2, 4} {
+		b := NewBatched(uint64(20 + p))
+		m := map[int64]int64{}
+		r := rng.New(uint64(30 + p))
+		recs := make([]sched.OpRecord, bulk)
+		ops := make([]*sched.OpRecord, bulk)
+		for i := range recs {
+			ops[i] = &recs[i]
+		}
+		peak := 0
+		batch := func(c *sched.Ctx, k, putPct, delPct int) {
+			for i := 0; i < k; i++ {
+				key := r.Int63() % space
+				if r.Intn(4) == 0 {
+					key = r.Int63() % 4 // hot keys
+				}
+				kind := OpGet
+				switch x := r.Intn(100); {
+				case x < putPct:
+					kind = OpPut
+				case x < putPct+delPct:
+					kind = OpDel
+				}
+				recs[i] = sched.OpRecord{DS: b, Kind: kind, Key: key, Val: r.Int63()}
+			}
+			b.RunBatch(c, ops[:k])
+			for i, op := range ops[:k] {
+				want, present := m[op.Key]
+				switch op.Kind {
+				case OpPut:
+					if op.Ok == present {
+						t.Fatalf("P=%d op %d of %d: Put(%d) Ok = %v, key present before: %v", p, i, k, op.Key, op.Ok, present)
+					}
+					m[op.Key] = op.Val
+				case OpGet:
+					if op.Ok != present || (present && op.Res != want) {
+						t.Fatalf("P=%d op %d of %d: Get(%d) = %d,%v want %d,%v", p, i, k, op.Key, op.Res, op.Ok, want, present)
+					}
+				case OpDel:
+					if op.Ok != present {
+						t.Fatalf("P=%d op %d of %d: Del(%d) Ok = %v, want %v", p, i, k, op.Key, op.Ok, present)
+					}
+					delete(m, op.Key)
+				}
+			}
+			if b.Len() != len(m) {
+				t.Fatalf("P=%d: Len = %d want %d", p, b.Len(), len(m))
+			}
+			peak = max(peak, b.Buckets())
+		}
+		runOn(p, func(c *sched.Ctx) {
+			for _, phase := range []struct{ putPct, delPct, rounds int }{{70, 10, 40}, {5, 75, 60}} {
+				for round := 0; round < phase.rounds; round++ {
+					batch(c, bulk, phase.putPct, phase.delPct)
+					for s := 0; s < 20; s++ {
+						batch(c, 1+r.Intn(p), phase.putPct, phase.delPct)
+					}
+				}
+			}
+		})
+		if peak < 1024 || b.Buckets() >= peak {
+			t.Fatalf("P=%d: buckets peaked at %d and ended at %d; want a grow past 1024 and a shrink", p, peak, b.Buckets())
+		}
+	}
+}
+
+// TestRunBatchZeroAllocs pins that a warmed-up RunBatch allocates
+// nothing on Gets and on Puts over existing keys, at one operation per
+// batch and at P (both applied inline), and at 256 (sorted into groups
+// and applied in parallel).
+func TestRunBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const p = 4
+	b := NewBatched(9)
+	runOn(1, func(c *sched.Ctx) {
+		for k := int64(0); k < 1000; k++ {
+			b.Put(c, k, k)
+		}
+	})
+	for name, kind := range map[string]sched.OpKind{"Get": OpGet, "Put": OpPut} {
+		for _, k := range []int{1, p, 256} {
+			recs := make([]sched.OpRecord, k)
+			ops := make([]*sched.OpRecord, k)
+			for i := range recs {
+				recs[i] = sched.OpRecord{DS: b, Kind: kind, Key: int64(97*i) % 1000, Val: 1}
+				ops[i] = &recs[i]
+			}
+			var got float64
+			runOn(p, func(c *sched.Ctx) {
+				b.RunBatch(c, ops) // warm the scratch and the task free list
+				got = testing.AllocsPerRun(100, func() { b.RunBatch(c, ops) })
+			})
+			if got != 0 {
+				t.Errorf("%s, k=%d: RunBatch allocates %v objects per batch, want 0", name, k, got)
+			}
+		}
+	}
+}
+
+// BenchmarkRunBatch times the batched operation in its two regimes:
+// bulk-load is one fresh map filled to 1<<17 keys by 512-op Put
+// batches on one worker (ns/op and allocs/op are per load, ns/key per
+// key); served is a 2-op batch, 90% Get and 10% Put, over a map of
+// 1<<17 keys on a 2-worker runtime.
+func BenchmarkRunBatch(b *testing.B) {
+	const keys, chunk = 1 << 17, 512
+	b.Run("bulk-load", func(b *testing.B) {
+		recs := make([]sched.OpRecord, chunk)
+		ops := make([]*sched.OpRecord, chunk)
+		for i := range recs {
+			ops[i] = &recs[i]
+		}
+		b.ReportAllocs()
+		sched.New(sched.Config{Workers: 1, Seed: 71}).Run(func(c *sched.Ctx) {
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				m := NewBatched(1)
+				for lo := int64(0); lo < keys; lo += chunk {
+					for i := range recs {
+						recs[i] = sched.OpRecord{DS: m, Kind: OpPut, Key: lo + int64(i), Val: lo}
+					}
+					m.RunBatch(c, ops)
+				}
+			}
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
+	})
+	b.Run("served", func(b *testing.B) {
+		m := NewBatched(2)
+		var recs [2]sched.OpRecord
+		ops := []*sched.OpRecord{&recs[0], &recs[1]}
+		r := rng.New(3)
+		b.ReportAllocs()
+		sched.New(sched.Config{Workers: 2, Seed: 71}).Run(func(c *sched.Ctx) {
+			for lo := int64(0); lo < keys; lo += 2 {
+				recs[0] = sched.OpRecord{DS: m, Kind: OpPut, Key: lo}
+				recs[1] = sched.OpRecord{DS: m, Kind: OpPut, Key: lo + 1}
+				m.RunBatch(c, ops)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range recs {
+					recs[i] = sched.OpRecord{DS: m, Kind: OpGet, Key: r.Int63() % keys}
+					if r.Intn(10) == 0 {
+						recs[i].Kind = OpPut
+					}
+				}
+				m.RunBatch(c, ops)
+			}
+		})
+	})
+}

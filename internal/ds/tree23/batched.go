@@ -1,7 +1,8 @@
 package tree23
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"batcher/internal/sched"
 )
@@ -24,14 +25,44 @@ const (
 const bulkCutoff = 4
 
 // Batched is the implicitly batched 2-3 tree.
+//
+// The scratch fields hold per-batch working storage, and lookupBody and
+// rangeBody are the read phase's loop bodies, bound at construction;
+// both are reused across batches, so a warmed-up batch of lookups and
+// updates of present keys allocates nothing. Reuse is legal because the scheduler runs
+// at most one batch at a time (Invariant 1): RunBatch is never
+// re-entered concurrently on the same structure.
 type Batched struct {
 	t *Tree
+
+	lookups []*sched.OpRecord
+	ranges  []*sched.OpRecord
+	deletes []*sched.OpRecord
+	reqs    []ireq
+	owners  []insOwner
+	flags   []bool // reqs[i] sets flags[i]; reused by the delete phase
+
+	lookupBody, rangeBody func(*sched.Ctx, int)
 }
 
 var _ sched.Batched = (*Batched)(nil)
 
 // NewBatched returns an empty batched 2-3 tree.
-func NewBatched() *Batched { return &Batched{t: NewTree()} }
+func NewBatched() *Batched {
+	b := &Batched{t: NewTree()}
+	b.lookupBody = func(_ *sched.Ctx, i int) {
+		op := b.lookups[i]
+		op.Res, op.Ok = b.t.Contains(op.Key)
+	}
+	b.rangeBody = func(_ *sched.Ctx, i int) {
+		op := b.ranges[i]
+		out := op.Aux.(*RangeResult)
+		rangeWalk(b.t.root, op.Key, op.Val, out)
+		op.Res = int64(len(out.Keys))
+		op.Ok = true
+	}
+	return b
+}
 
 // Tree exposes the underlying tree for quiescent inspection.
 func (b *Batched) Tree() *Tree { return b.t }
@@ -70,27 +101,35 @@ func (b *Batched) Delete(c *sched.Ctx, key int64) bool {
 	return op.Ok
 }
 
-// ireq is one key's insertion request within a batch; added points into a
-// per-request flag slice so forked tasks never write shared fields.
+// ireq is one key's insertion request within a batch; added points into
+// the batch's flag slice so forked tasks never write shared fields.
 type ireq struct {
 	key, val int64
 	added    *bool
+}
+
+// insOwner maps an insert record to its requests: reqs[first:first+count].
+type insOwner struct {
+	op           *sched.OpRecord
+	first, count int
+}
+
+func cmpReqKey(a, z ireq) int           { return cmp.Compare(a.key, z.key) }
+func cmpOpKey(a, z *sched.OpRecord) int { return cmp.Compare(a.Key, z.Key) }
+
+// resetFlags returns b.flags resized to n and cleared.
+func (b *Batched) resetFlags(n int) []bool {
+	b.flags = slices.Grow(b.flags[:0], n)[:n]
+	clear(b.flags)
+	return b.flags
 }
 
 // RunBatch implements sched.Batched. Linearization within a batch: all
 // lookups (pre-batch state), then all inserts in key order, then all
 // deletes in key order.
 func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
-	var lookups []*sched.OpRecord
-	var ranges []*sched.OpRecord
-	var delOps []*sched.OpRecord
-	type insOwner struct {
-		op    *sched.OpRecord
-		first int // index of this op's first request in reqs
-		count int
-	}
-	var reqs []ireq
-	var owners []insOwner
+	lookups, ranges, deletes := b.lookups[:0], b.ranges[:0], b.deletes[:0]
+	reqs, owners := b.reqs[:0], b.owners[:0]
 	for _, op := range ops {
 		switch op.Kind {
 		case OpContains:
@@ -98,7 +137,7 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 		case OpRange:
 			ranges = append(ranges, op)
 		case OpDelete:
-			delOps = append(delOps, op)
+			deletes = append(deletes, op)
 		case OpInsert:
 			owners = append(owners, insOwner{op: op, first: len(reqs), count: 1})
 			reqs = append(reqs, ireq{key: op.Key, val: op.Val})
@@ -112,44 +151,35 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 			panic("tree23: unknown op kind")
 		}
 	}
+	b.lookups, b.ranges, b.deletes, b.reqs, b.owners = lookups, ranges, deletes, reqs, owners
 
 	// Phase 1: lookups and range queries, fully parallel and read-only.
-	c.For(0, len(lookups), 1, func(_ *sched.Ctx, i int) {
-		lookups[i].Res, lookups[i].Ok = b.t.Contains(lookups[i].Key)
-	})
-	c.For(0, len(ranges), 1, func(_ *sched.Ctx, i int) {
-		op := ranges[i]
-		out := op.Aux.(*RangeResult)
-		rangeWalk(b.t.root, op.Key, op.Val, out)
-		op.Res = int64(len(out.Keys))
-		op.Ok = true
-	})
+	c.For(0, len(lookups), 1, b.lookupBody)
+	c.For(0, len(ranges), 1, b.rangeBody)
 
 	// Phase 2: inserts.
 	if len(reqs) > 0 {
-		flags := make([]bool, len(reqs))
+		flags := b.resetFlags(len(reqs))
 		for i := range reqs {
 			reqs[i].added = &flags[i]
 		}
-		// Sort stably and dedup: for equal keys the last value wins (it
-		// is linearized last); only the first occurrence can be "new".
-		order := make([]int, len(reqs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, z int) bool { return reqs[order[a]].key < reqs[order[z]].key })
-		sorted := make([]ireq, 0, len(reqs))
-		for idx := 0; idx < len(order); {
-			j := idx
-			for j+1 < len(order) && reqs[order[j+1]].key == reqs[order[idx]].key {
+		// Sort stably and dedup in place: for equal keys the last value
+		// wins (it is linearized last); only the first occurrence can be
+		// "new".
+		slices.SortStableFunc(reqs, cmpReqKey)
+		n := 0
+		for i := 0; i < len(reqs); {
+			j := i
+			for j+1 < len(reqs) && reqs[j+1].key == reqs[i].key {
 				j++
 			}
-			r := reqs[order[idx]]      // first occurrence carries the flag
-			r.val = reqs[order[j]].val // last occurrence's value wins
-			sorted = append(sorted, r)
-			idx = j + 1
+			r := reqs[i]        // first occurrence carries the flag
+			r.val = reqs[j].val // last occurrence's value wins
+			reqs[n] = r
+			n++
+			i = j + 1
 		}
-		b.t.root = bulkInsert(c, b.t.root, sorted)
+		b.t.root = bulkInsert(c, b.t.root, reqs[:n])
 		for _, f := range flags {
 			if f {
 				b.t.size++
@@ -162,8 +192,8 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 				ow.op.Ok = flags[ow.first]
 			case OpInsertMany:
 				n := int64(0)
-				for i := 0; i < ow.count; i++ {
-					if flags[ow.first+i] {
+				for _, f := range flags[ow.first : ow.first+ow.count] {
+					if f {
 						n++
 					}
 				}
@@ -174,18 +204,18 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 	}
 
 	// Phase 3: deletes.
-	if len(delOps) > 0 {
-		sort.SliceStable(delOps, func(a, z int) bool { return delOps[a].Key < delOps[z].Key })
-		// Dedup: only the first delete of a key can succeed.
-		uniq := delOps[:0:0]
-		for i, op := range delOps {
-			if i > 0 && op.Key == delOps[i-1].Key {
+	if len(deletes) > 0 {
+		slices.SortStableFunc(deletes, cmpOpKey)
+		// Dedup in place: only the first delete of a key can succeed.
+		uniq := deletes[:0]
+		for _, op := range deletes {
+			if len(uniq) > 0 && op.Key == uniq[len(uniq)-1].Key {
 				op.Ok = false
 				continue
 			}
 			uniq = append(uniq, op)
 		}
-		flags := make([]bool, len(uniq))
+		flags := b.resetFlags(len(uniq))
 		b.t.root = bulkDelete(c, b.t.root, uniq, flags)
 		for i, op := range uniq {
 			op.Ok = flags[i]

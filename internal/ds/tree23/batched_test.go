@@ -280,3 +280,38 @@ func TestBatchedMixedConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBatchZeroAllocs pins that a warmed-up RunBatch allocates
+// nothing on lookups and on inserts over existing keys, at one
+// operation per batch and at P.
+func TestRunBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const p = 4
+	b := NewBatched()
+	for k := int64(0); k < 1000; k++ {
+		b.Tree().Insert(k, k)
+	}
+	for name, kind := range map[string]sched.OpKind{"Contains": OpContains, "Insert": OpInsert} {
+		for _, k := range []int{1, p} {
+			recs := make([]sched.OpRecord, k)
+			ops := make([]*sched.OpRecord, k)
+			for i := range recs {
+				recs[i] = sched.OpRecord{DS: b, Kind: kind, Key: int64(97 * i), Val: 1}
+				ops[i] = &recs[i]
+			}
+			var got float64
+			runOn(p, func(c *sched.Ctx) {
+				b.RunBatch(c, ops) // warm the scratch and the task free list
+				got = testing.AllocsPerRun(100, func() { b.RunBatch(c, ops) })
+			})
+			if got != 0 {
+				t.Errorf("%s, k=%d: RunBatch allocates %v objects per batch, want 0", name, k, got)
+			}
+		}
+	}
+	if err := b.Tree().checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package tree23
+
+// raceEnabled reports whether the race detector is compiled in. Alloc
+// pins are skipped under -race (instrumentation allocates).
+const raceEnabled = false

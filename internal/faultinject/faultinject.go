@@ -80,11 +80,14 @@ func (f *Flaky) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 	f.Inner.RunBatch(c, ops)
 }
 
-// Slow wraps a batched structure and sleeps before each batch. Because
-// at most one batch runs at a time (Invariant 1), the sleep stalls the
-// whole batching pipeline — which is the point: it backs traffic up
-// into the pump queue so tests can drive a standing backlog with real
-// load.
+// Slow wraps a batched structure and sleeps before each batch: a
+// stand-in for an expensive BOP that gives a shard a known, low
+// capacity (roughly Workers/Delay ops/s once batches fill). Because at
+// most one batch runs at a time (Invariant 1), the sleep stalls the
+// whole batching pipeline, so real load backs up into a standing
+// queue. The server's brownout tests (TestBrownout*) and its overload
+// benchmark (BenchmarkServerOverload) install it on every hashmap
+// shard through server.Config.WrapDS.
 type Slow struct {
 	Inner sched.Batched
 	Delay time.Duration

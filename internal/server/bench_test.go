@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"batcher/internal/faultinject"
 	"batcher/internal/loadgen"
 	"batcher/internal/sched"
 	"batcher/internal/server"
@@ -99,7 +100,7 @@ func BenchmarkServerOverload(b *testing.B) {
 					SLO:      admit.slo,
 					WrapDS: func(_ int, ds uint8, inner sched.Batched) sched.Batched {
 						if ds == server.DSHashmap {
-							return &slowBatched{inner: inner, delay: 50 * time.Microsecond}
+							return &faultinject.Slow{Inner: inner, Delay: 50 * time.Microsecond}
 						}
 						return inner
 					},

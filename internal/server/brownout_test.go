@@ -11,8 +11,8 @@ package server_test
 // backlog. Below capacity, and once an overload has ended, nothing
 // sheds.
 //
-// Capacity is made deliberately tiny and known: slowBatched adds a
-// fixed sleep to every hashmap batch, so "10× capacity" is a few
+// Capacity is made deliberately tiny and known: faultinject.Slow adds
+// a fixed sleep to every hashmap batch, so "10× capacity" is a few
 // thousand ops/s — reachable by the loadgen even on one CPU under
 // -race.
 
@@ -20,23 +20,11 @@ import (
 	"testing"
 	"time"
 
+	"batcher/internal/faultinject"
 	"batcher/internal/loadgen"
 	"batcher/internal/sched"
 	"batcher/internal/server"
 )
-
-// slowBatched inflates a structure's batch cost by a fixed sleep: a
-// stand-in for an expensive BOP that gives the shard a known, low
-// capacity (roughly Workers/delay ops/sec once batches fill).
-type slowBatched struct {
-	inner sched.Batched
-	delay time.Duration
-}
-
-func (s *slowBatched) RunBatch(ctx *sched.Ctx, ops []*sched.OpRecord) {
-	time.Sleep(s.delay)
-	s.inner.RunBatch(ctx, ops)
-}
 
 const (
 	brownoutWorkers  = 2
@@ -56,7 +44,7 @@ func brownoutServer(t *testing.T, shards int, slo, batchCost time.Duration) *ser
 		SLO:      slo,
 		WrapDS: func(_ int, ds uint8, b sched.Batched) sched.Batched {
 			if ds == server.DSHashmap {
-				return &slowBatched{inner: b, delay: batchCost}
+				return &faultinject.Slow{Inner: b, Delay: batchCost}
 			}
 			return b
 		},
