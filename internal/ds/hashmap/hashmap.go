@@ -1,34 +1,25 @@
 // Package hashmap implements a batched hash table (a parallel
 // dictionary, the structure class the paper's related work cites via
 // Paul–Vishkin–Wagener and the STL bulk-operation dictionaries). The
-// batched operation exploits bucket disjointness:
+// batched operation
 //
-//  1. hash every operation to its bucket and pack the pair
-//     bucket<<32 | compaction index into one key,
-//  2. group operations by bucket by sorting those keys: one bucket's
-//     operations become a contiguous run, and the index in the low
-//     bits keeps same-key operations in compaction order (the batch's
-//     linearization order) without a stable sort,
-//  3. apply the groups in a parallel loop: distinct buckets touch
-//     disjoint state, so no synchronization is needed,
-//  4. if the load factor crossed a threshold, rebuild the table in two
+//  1. applies the batch's operations inline in compaction order (the
+//     batch's linearization order), one bucket probe each,
+//  2. if the load factor crossed a threshold, rebuilds the table in two
 //     passes: count the entries each new bucket receives, then carve
 //     every new bucket out of one slab (with a slot of slack) and fill
 //     it. With table doubling, old bucket i redistributes only into new
 //     buckets i and i+oldLen, so both passes parallelize over old
 //     buckets with disjoint writes, and a prefix sum gives the offsets.
 //
-// Steps 1–3 exist to hand disjoint buckets to parallel tasks. A batch
-// with nothing to run in parallel — at most applyGrain operations, as
-// every served batch of at most P is, or a one-worker runtime — skips
-// them and applies its operations inline in compaction order, which is
-// the same linearization.
+// Step 1 stays sequential, a span of O(k) for k operations: the
+// scheduler hands RunBatch at most P operations (Invariant 2), too few
+// to pay for grouping them by bucket and forking. The rebuild is where
+// a batch has Θ(n) work to spread.
 //
-// The sort keys, the group starts and the per-group size changes live
-// in scratch slices reused across batches, and the parallel loop body
-// is bound once at construction, so a warmed-up batch allocates
-// nothing unless a Put outgrows its bucket's slack; a rebuild makes
-// O(1) allocations, not one per bucket.
+// Lookups and updates of present keys allocate nothing; a Put that
+// outgrows its bucket's slack allocates, and a rebuild makes O(1)
+// allocations, not one per bucket.
 //
 // Amortized Θ(1) work per operation, with Θ(n)-work rebuild batches —
 // the same amortized profile as the paper's stack example, handled by
@@ -36,8 +27,6 @@
 package hashmap
 
 import (
-	"slices"
-
 	"batcher/internal/prefix"
 	"batcher/internal/rng"
 	"batcher/internal/sched"
@@ -57,45 +46,24 @@ type entry struct{ k, v int64 }
 
 const (
 	initialBuckets = 8
-	// applyGrain is the number of bucket groups one parallel task
-	// applies; a batch of at most this many operations runs inline.
-	applyGrain = 32
 	// rebuildGrain is the number of buckets one rebuild task handles.
 	rebuildGrain = 256
 )
 
 // Batched is the implicitly batched hash map.
-//
-// The scratch fields are reused across batches. Reuse is legal because
-// the scheduler runs at most one batch at a time (Invariant 1): RunBatch
-// is never re-entered concurrently on the same structure.
 type Batched struct {
 	buckets [][]entry
 	size    int
 	seed    uint64
 	// Rebuilds counts table doublings/halvings (for tests and benches).
 	Rebuilds int
-
-	ops       []*sched.OpRecord // the batch being applied
-	keys      []uint64          // bucket<<32 | compaction index, sorted
-	starts    []int             // group g is keys[starts[g]:starts[g+1]]
-	deltas    []int             // group g's change to size
-	applyBody func(*sched.Ctx, int)
 }
 
 var _ sched.Batched = (*Batched)(nil)
 
 // NewBatched returns an empty map; seed fixes the hash function.
 func NewBatched(seed uint64) *Batched {
-	b := &Batched{buckets: make([][]entry, initialBuckets), seed: seed}
-	b.applyBody = func(_ *sched.Ctx, g int) {
-		d := 0
-		for _, k := range b.keys[b.starts[g]:b.starts[g+1]] {
-			d += b.applyToBucket(int(k>>32), b.ops[uint32(k)])
-		}
-		b.deltas[g] = d
-	}
-	return b
+	return &Batched{buckets: make([][]entry, initialBuckets), seed: seed}
 }
 
 // Len returns the number of keys. Quiescent only.
@@ -136,14 +104,8 @@ func (b *Batched) Del(c *sched.Ctx, key int64) bool {
 
 // RunBatch implements sched.Batched.
 func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
-	if c.Workers() == 1 || len(ops) <= applyGrain {
-		// Nothing would run in parallel: apply in compaction order,
-		// the order the bucket groups keep anyway.
-		for _, op := range ops {
-			b.size += b.applyToBucket(b.hash(op.Key), op)
-		}
-	} else {
-		b.applyGrouped(c, ops)
+	for _, op := range ops {
+		b.size += b.applyToBucket(b.hash(op.Key), op)
 	}
 
 	// Resize when over- or under-loaded.
@@ -155,34 +117,8 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 	}
 }
 
-// applyGrouped sorts ops into bucket groups and applies the groups in
-// parallel, each task writing only its own groups' buckets and deltas.
-func (b *Batched) applyGrouped(c *sched.Ctx, ops []*sched.OpRecord) {
-	keys := b.keys[:0]
-	for i, op := range ops {
-		keys = append(keys, uint64(b.hash(op.Key))<<32|uint64(i))
-	}
-	slices.Sort(keys)
-	starts := b.starts[:0]
-	for i, k := range keys {
-		if i == 0 || k>>32 != keys[i-1]>>32 {
-			starts = append(starts, i)
-		}
-	}
-	groups := len(starts)
-	starts = append(starts, len(keys))
-	b.ops, b.keys, b.starts = ops, keys, starts
-	b.deltas = slices.Grow(b.deltas[:0], groups)[:groups]
-
-	c.For(0, groups, applyGrain, b.applyBody)
-	for _, d := range b.deltas {
-		b.size += d
-	}
-	b.ops = nil // the records belong to their callers once the batch lands
-}
-
 // applyToBucket performs one operation on bucket bi, returning the size
-// delta. Called only from the task owning bucket bi within a batch.
+// delta.
 func (b *Batched) applyToBucket(bi int, op *sched.OpRecord) int {
 	bucket := b.buckets[bi]
 	pos := -1

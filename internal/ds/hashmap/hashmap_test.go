@@ -194,7 +194,7 @@ func TestManyRunsStable(t *testing.T) {
 // one operation at a time in compaction order. A few hot keys put
 // same-key Put/Get/Del runs inside one batch. A Put-heavy phase grows
 // the table through several doublings and a Del-heavy phase shrinks it
-// again; on P > 1 the bulk batches apply their groups in parallel.
+// again, and on P > 1 the rebuilds run in parallel.
 func TestBatchesAgainstMapOracle(t *testing.T) {
 	const space, bulk = 6000, 512
 	for _, p := range []int{1, 2, 4} {
@@ -265,8 +265,7 @@ func TestBatchesAgainstMapOracle(t *testing.T) {
 
 // TestRunBatchZeroAllocs pins that a warmed-up RunBatch allocates
 // nothing on Gets and on Puts over existing keys, at one operation per
-// batch and at P (both applied inline), and at 256 (sorted into groups
-// and applied in parallel).
+// batch, at P and at 256.
 func TestRunBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

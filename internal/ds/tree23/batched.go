@@ -24,14 +24,18 @@ const (
 // sequentially rather than forking.
 const bulkCutoff = 4
 
+// scratchKeep is the largest insert scratch, in requests, that a
+// Batched keeps between batches.
+const scratchKeep = 1024
+
 // Batched is the implicitly batched 2-3 tree.
 //
 // The scratch fields hold per-batch working storage, and lookupBody and
 // rangeBody are the read phase's loop bodies, bound at construction;
 // both are reused across batches, so a warmed-up batch of lookups and
-// updates of present keys allocates nothing. Reuse is legal because the scheduler runs
-// at most one batch at a time (Invariant 1): RunBatch is never
-// re-entered concurrently on the same structure.
+// updates of present keys allocates nothing. Reuse is legal because
+// the scheduler runs at most one batch at a time (Invariant 1): RunBatch
+// is never re-entered concurrently on the same structure.
 type Batched struct {
 	t *Tree
 
@@ -223,6 +227,21 @@ func (b *Batched) RunBatch(c *sched.Ctx, ops []*sched.OpRecord) {
 				b.t.size--
 			}
 		}
+	}
+	b.release()
+}
+
+// release drops the scratch's references into the landed batch: the
+// records (and through Aux their range buffers) belong to their callers
+// once the batch lands. Insert scratch grown past scratchKeep by a bulk
+// InsertMany is dropped rather than kept for good.
+func (b *Batched) release() {
+	clear(b.lookups)
+	clear(b.ranges)
+	clear(b.deletes)
+	clear(b.owners)
+	if cap(b.reqs) > scratchKeep {
+		b.reqs, b.flags = nil, nil
 	}
 }
 

@@ -315,3 +315,46 @@ func TestRunBatchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunBatchReleasesRecords checks that a landed batch leaves no
+// reference to its records in the scratch, and that insert scratch grown
+// by a large InsertMany is not kept.
+func TestRunBatchReleasesRecords(t *testing.T) {
+	b := NewBatched()
+	keys := make([]int64, 2*scratchKeep)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	var out RangeResult
+	recs := []sched.OpRecord{
+		{DS: b, Kind: OpInsertMany, Val: 1, Aux: keys},
+		{DS: b, Kind: OpInsert, Key: -1, Val: 1},
+		{DS: b, Kind: OpContains, Key: 5},
+		{DS: b, Kind: OpRange, Key: 0, Val: 9, Aux: &out},
+		{DS: b, Kind: OpDelete, Key: 7},
+		{DS: b, Kind: OpDelete, Key: 7},
+	}
+	ops := make([]*sched.OpRecord, len(recs))
+	for i := range recs {
+		ops[i] = &recs[i]
+	}
+	runOn(2, func(c *sched.Ctx) { b.RunBatch(c, ops) })
+	if recs[0].Res != int64(len(keys)) || !recs[4].Ok || recs[5].Ok {
+		t.Fatalf("batch results wrong: InsertMany %d, deletes %v %v", recs[0].Res, recs[4].Ok, recs[5].Ok)
+	}
+	for name, s := range map[string][]*sched.OpRecord{"lookups": b.lookups, "ranges": b.ranges, "deletes": b.deletes} {
+		for i, op := range s[:cap(s)] {
+			if op != nil {
+				t.Errorf("%s[%d] still holds a record", name, i)
+			}
+		}
+	}
+	for i, ow := range b.owners[:cap(b.owners)] {
+		if ow.op != nil {
+			t.Errorf("owners[%d] still holds a record", i)
+		}
+	}
+	if b.reqs != nil || b.flags != nil {
+		t.Errorf("insert scratch of %d requests kept, cap %d > %d", len(keys)+1, cap(b.reqs), scratchKeep)
+	}
+}
