@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -93,20 +94,7 @@ func TestBatchedMatchesSequentialStructure(t *testing.T) {
 			bat.Insert(cc, keys[i], keys[i])
 		})
 	})
-	if seq.level != bat.List().level {
-		t.Fatalf("level %d vs %d", seq.level, bat.List().level)
-	}
-	for lv := 0; lv < seq.level; lv++ {
-		sk, bk := levelKeys(seq, lv), levelKeys(bat.List(), lv)
-		if len(sk) != len(bk) {
-			t.Fatalf("level %d: len %d vs %d", lv, len(sk), len(bk))
-		}
-		for i := range sk {
-			if sk[i] != bk[i] {
-				t.Fatalf("level %d key %d: %d vs %d", lv, i, sk[i], bk[i])
-			}
-		}
-	}
+	sameChains(t, "batched", seq, bat.List())
 	if err := bat.List().checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +107,20 @@ func levelKeys(l *List, lv int) []int64 {
 		out = append(out, x.key)
 	}
 	return out
+}
+
+// sameChains fails t unless a and b use the same levels and link the
+// same keys, in the same order, on every one of them.
+func sameChains(t *testing.T, name string, a, b *List) {
+	t.Helper()
+	if a.level != b.level {
+		t.Fatalf("%s: level %d vs %d", name, a.level, b.level)
+	}
+	for lv := 0; lv < a.level; lv++ {
+		if ak, bk := levelKeys(a, lv), levelKeys(b, lv); !slices.Equal(ak, bk) {
+			t.Fatalf("%s: level %d links %v, want %v", name, lv, bk, ak)
+		}
+	}
 }
 
 func TestBatchedInsertMany(t *testing.T) {

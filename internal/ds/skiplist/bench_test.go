@@ -11,23 +11,51 @@ import (
 // benchSpace is the microbenchmarks' key space; half of it is present.
 const benchSpace = 1 << 20
 
-// benchList holds every even key of [0, benchSpace), inserted in a
-// shuffled order so that list neighbours are not slab neighbours.
-func benchList() *List {
+// benchKeys returns every even key of [0, benchSpace), ascending, or
+// shuffled when shuffle is set.
+func benchKeys(shuffle bool) []int64 {
 	keys := make([]int64, benchSpace/2)
 	for i := range keys {
 		keys[i] = int64(2 * i)
 	}
-	r := rng.New(1)
-	for i := len(keys) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		keys[i], keys[j] = keys[j], keys[i]
+	if shuffle {
+		r := rng.New(1)
+		for i := len(keys) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			keys[i], keys[j] = keys[j], keys[i]
+		}
 	}
+	return keys
+}
+
+// benchList holds benchKeys inserted in a shuffled order, so that list
+// neighbours are not slab neighbours.
+func benchList() *List {
 	l := NewList(0x5eed)
-	for _, k := range keys {
+	for _, k := range benchKeys(true) {
 		l.Insert(k, k)
 	}
 	return l
+}
+
+// BenchmarkListInsert times a whole load of benchKeys into an empty
+// List through Insert, reported in ns per key. "ordered" loads them
+// ascending, as bench's preload does, so every insert after the first
+// links behind the finger; "random" loads them shuffled, the SEQ
+// baseline's path, where every insert searches from the head.
+func BenchmarkListInsert(b *testing.B) {
+	for _, order := range []string{"ordered", "random"} {
+		keys := benchKeys(order == "random")
+		b.Run(order, func(b *testing.B) {
+			for range b.N {
+				l := NewList(0x5eed)
+				for _, k := range keys {
+					l.Insert(k, k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+		})
+	}
 }
 
 var benchSink int64

@@ -8,24 +8,33 @@ import (
 
 // FuzzSeqAgainstMap drives the sequential skip list with a fuzzer-chosen
 // operation tape and checks it against a map oracle. Each byte triple
-// encodes (op, key): op = b0 % 3, key = b1 | b2<<8 (mod 512).
+// encodes (op, key): op = b0 % 4, key = b1 | b2<<8 (mod 512) - 256, so
+// keys straddle the head's key 0. Op 3 ignores the key and inserts one
+// above the last key inserted, which links behind the finger unless a
+// delete in between has cleared it.
 func FuzzSeqAgainstMap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 5, 0, 2, 1, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 0, 0})
+	f.Add([]byte{0, 9, 0, 3, 0, 0, 3, 0, 0, 2, 11, 0, 3, 0, 0, 0, 10, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		l := NewList(99)
 		m := map[int64]int64{}
+		var last int64
 		for i := 0; i+2 < len(tape); i += 3 {
-			op := tape[i] % 3
+			op := tape[i] % 4
 			k := int64(tape[i+1]) | int64(tape[i+2])<<8
-			k %= 512
+			k = k%512 - 256
+			if op == 3 {
+				k = last + 1
+			}
 			switch op {
-			case 0:
+			case 0, 3:
 				_, existed := m[k]
 				if l.Insert(k, int64(i)) == existed {
 					t.Fatalf("Insert(%d) new-flag mismatch", k)
 				}
 				m[k] = int64(i)
+				last = k
 			case 1:
 				wv, wok := m[k]
 				gv, gok := l.Contains(k)

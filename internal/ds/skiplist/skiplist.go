@@ -21,6 +21,15 @@
 // searchChunk ops forks nothing); and a warmed-up RunBatch allocates
 // nothing. DESIGN.md §7, "Skip-list node layout and lockstep search".
 //
+// The sequential List keeps a finger: the predecessor tower of the
+// level-0 gap behind the key its last Insert placed, with the keys on
+// either side of that gap cached beside it. Every key strictly inside
+// the gap has that tower as its own, so an Insert there skips the search
+// and pays only the O(h) link: an ascending load links each key in O(h)
+// instead of O(lg n). The guard compares the key against the two cached
+// keys and reads no node. Only Insert makes the finger valid; a batched
+// splice or any unlink invalidates it, since either can leave it stale.
+//
 // Node heights are derived deterministically from a hash of the key so
 // that sequential and batched executions of the same key set build
 // structurally identical lists — which keeps the SEQ-vs-BATCHER
@@ -28,6 +37,7 @@
 package skiplist
 
 import (
+	"math"
 	"math/bits"
 	"unsafe"
 
@@ -103,11 +113,25 @@ const arenaChunk = 512
 // carved from it is unreachable, so workloads that delete most of what
 // they insert retain somewhat more memory. For the insert-heavy
 // workloads of the paper's experiments this is the right trade.
+//
+// fingerLo and fingerHi bound the level-0 gap the last Insert searched
+// or filled: the key of the node in front of it, or MinInt64 for the
+// head (whose key, 0, is a legal key), and the key of the node behind
+// it, or MaxInt64 at the end. The bounds are strict, so a key equal to a
+// sentinel just searches. When fingerOK is set, finger is the
+// predecessor tower (below level) of every key inside the gap: no node
+// lies there, so each such key's rightmost smaller node is the same at
+// every level. link and unlink clear fingerOK, and unlink also drops the
+// tower, so the finger never keeps an unlinked node alive.
 type List struct {
 	head     *node
 	size     int
 	level    int // number of levels in use (>= 1)
 	hashSeed uint64
+
+	finger             [maxLevel]*node
+	fingerLo, fingerHi int64
+	fingerOK           bool
 
 	// Unused remainders of the current slab of each class; the rare
 	// node taller than 8 is allocated on its own.
@@ -184,15 +208,58 @@ func (l *List) searchPredsN(keys []int64, preds []*node) {
 
 // Insert adds key with val, or updates val if key is present. It returns
 // true if the key was newly inserted.
+//
+// A key inside the last Insert's gap, with the finger valid, links
+// behind the finger with no search. Any other key searches from the head into a stack array and
+// records its own gap; the finger's tower is kept only when the key lay
+// in the previous gap, the second key of an ascending run. A random key
+// almost never does, so its search pays no write barrier for stores
+// into the heap-held finger while the collector marks.
 func (l *List) Insert(key, val int64) bool {
-	var preds [maxLevel]*node
-	l.searchPreds(key, preds[:])
-	if nxt := preds[0].t0; nxt != nil && nxt.key == key {
-		nxt.val = val
-		return false
+	seq := l.fingerLo < key && key < l.fingerHi
+	if !seq || !l.fingerOK {
+		var preds [maxLevel]*node
+		l.searchPreds(key, preds[:])
+		l.fingerLo, l.fingerHi = l.gap(preds[0])
+		l.fingerOK = false
+		if nxt := preds[0].t0; nxt != nil && nxt.key == key {
+			nxt.val = val
+			return false
+		}
+		h := l.height(key)
+		n := l.link(key, val, h, preds[:])
+		l.fingerLo = key
+		if seq {
+			l.finger = preds
+			l.point(n, h)
+		}
+		return true
 	}
-	l.link(key, val, l.height(key), preds[:])
+	h := l.height(key)
+	l.point(l.link(key, val, h, l.finger[:]), h)
 	return true
+}
+
+// point makes the finger the tower of the gap after n, a height-h node
+// just linked behind the finger's levels.
+func (l *List) point(n *node, h int) {
+	for lv := range h {
+		l.finger[lv] = n
+	}
+	l.fingerLo, l.fingerOK = n.key, true
+}
+
+// gap returns the bounds of the level-0 gap behind p: p's key, or
+// MinInt64 for the head, and its successor's key, or MaxInt64 if none.
+func (l *List) gap(p *node) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if p != l.head {
+		lo = p.key
+	}
+	if nxt := p.t0; nxt != nil {
+		hi = nxt.key
+	}
+	return lo, hi
 }
 
 // carve takes one element off *slab, refilling it with n when empty.
@@ -225,9 +292,12 @@ func (l *List) newNode(key, val int64, h int) *node {
 	return n
 }
 
-// link splices a new height-h node for key behind preds[:h]. Levels the
-// list does not use yet hang off the head, whatever preds holds there.
-func (l *List) link(key, val int64, h int, preds []*node) {
+// link splices a new height-h node for key behind preds[:h] and returns
+// it. Levels the list does not use yet hang off the head, whatever preds
+// holds there. It invalidates the finger: only Insert knows when the
+// new node's tower is the finger.
+func (l *List) link(key, val int64, h int, preds []*node) *node {
+	l.fingerOK = false
 	for ; l.level < h; l.level++ {
 		preds[l.level] = l.head
 	}
@@ -238,6 +308,7 @@ func (l *List) link(key, val int64, h int, preds []*node) {
 		nt[lv], pt[lv] = pt[lv], n
 	}
 	l.size++
+	return n
 }
 
 // Contains reports whether key is present and returns its value.
@@ -279,8 +350,13 @@ func (l *List) Delete(key int64) bool {
 	return true
 }
 
-// unlink detaches target given its predecessor tower.
+// unlink detaches target given its predecessor tower. It invalidates
+// and clears the finger, which may hold target.
 func (l *List) unlink(target *node, preds []*node) {
+	l.fingerOK = false
+	if l.finger[0] != nil {
+		clear(l.finger[:])
+	}
 	for lv, nxt := range target.tower() {
 		if pt := preds[lv].tower(); pt[lv] == target {
 			pt[lv] = nxt

@@ -422,15 +422,19 @@ func (s *Server) submitSpans(c *conn, reqs []*request, sc *edgeScratch) {
 
 // submitSpan submits one shard's span in bulk. The shard pumps are
 // uncapped, so SubmitAll admits the whole span unless the pump is
-// closed; whatever it did not admit is answered with FlagErr.
+// closed; whatever it did not admit is answered with FlagErr. The span
+// counts as accepted before SubmitAll, since an admitted op can
+// complete before SubmitAll returns; a refused suffix is taken back, so
+// completed never runs ahead of accepted + immediate.
 func (s *Server) submitSpan(c *conn, shardID int, span []*request, sc *edgeScratch) {
 	sc.recs = sc.recs[:0]
 	for _, rq := range span {
 		sc.recs = append(sc.recs, &rq.op)
 	}
+	s.accepted.Add(int64(len(span)))
 	n, _ := s.router.Shard(shardID).SubmitAll(sc.recs)
-	if n > 0 {
-		s.accepted.Add(int64(n))
+	if n < len(span) {
+		s.accepted.Add(int64(n - len(span)))
 	}
 	for _, rq := range span[n:] {
 		s.rejected.Add(1)

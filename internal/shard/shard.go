@@ -133,11 +133,14 @@ func (sh *Shard) DS(i int) sched.Batched {
 // SubmitAll bulk-submits ops into the shard's pump (one lock, one
 // wake — see sched.Pump.SubmitAll) and counts the admitted prefix into
 // the shard's books. Contract is the pump's: the first n are admitted,
-// the rest remain the caller's to retry or reject.
+// the rest remain the caller's to retry or reject. The ops count as
+// accepted before the pump sees them, since an admitted op can complete
+// before SubmitAll returns; a refused suffix is taken back.
 func (sh *Shard) SubmitAll(ops []*sched.OpRecord) (n int, err error) {
+	sh.accepted.Add(int64(len(ops)))
 	n, err = sh.pump.SubmitAll(ops)
-	if n > 0 {
-		sh.accepted.Add(int64(n))
+	if n < len(ops) {
+		sh.accepted.Add(int64(n - len(ops)))
 	}
 	return n, err
 }
