@@ -106,14 +106,9 @@ type Pump = sched.Pump
 // PumpConfig configures a Pump.
 type PumpConfig = sched.PumpConfig
 
-// Pump submission errors.
-var (
-	// ErrPumpClosed reports a Submit after Close.
-	ErrPumpClosed = sched.ErrPumpClosed
-	// ErrPumpSaturated reports a Submit that found the ingress queue
-	// full (the backpressure signal).
-	ErrPumpSaturated = sched.ErrPumpSaturated
-)
+// ErrPumpClosed reports a Submit after Close, the only submission a
+// Pump refuses.
+var ErrPumpClosed = sched.ErrPumpClosed
 
 // New creates a runtime with the given configuration.
 func New(cfg Config) *Runtime { return sched.New(cfg) }

@@ -103,11 +103,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		case EvPumpReject:
 			ce.Ph = "i"
 			ce.S = "t"
-			why := "saturated"
-			if e.A == 2 {
-				why = "closed"
-			}
-			ce.Args = map[string]any{"reason": why}
+			ce.Args = map[string]any{"reason": "closed"}
 		case EvPanicContained:
 			ce.Ph = "i"
 			ce.S = "g" // global-scope instant: draw it loud

@@ -33,8 +33,9 @@ const (
 	// on the external ring — submitters are not workers). A = resulting
 	// ingress-queue depth.
 	EvPumpAdmit
-	// EvPumpReject: Pump.Submit refused an operation. A = 1 when the
-	// ingress queue was saturated, 2 when the pump was closed.
+	// EvPumpReject: Pump.Submit refused an operation because the pump
+	// was closed, the only refusal it makes. A = 2, the closed-pump
+	// reason code.
 	EvPumpReject
 	// EvPanicContained: a batch group's BOP panicked and was contained.
 	// A = group index within its batch.

@@ -109,7 +109,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr.Record(1, EvWake, 0, 0) // unmatched wake: must not emit a bare E
 	tr.Record(1, EvPark, 0, 0) // left open: must be closed by the exporter
 	tr.Record(1, EvPumpAdmit, 3, 0)
-	tr.Record(1, EvPumpReject, 1, 0)
+	tr.Record(1, EvPumpReject, 2, 0)
 	tr.Record(0, EvPanicContained, 2, 0)
 
 	var buf bytes.Buffer

@@ -209,7 +209,7 @@ func TestPumpServesThroughBatchPanic(t *testing.T) {
 	}
 	const n = 400
 	results := make(chan result, n+1) // OnDone must never block: n preloaded ops plus the late one
-	p := NewPump(rt, PumpConfig{QueueCap: n, OnDone: func(op *OpRecord) {
+	p := NewPump(rt, PumpConfig{OnDone: func(op *OpRecord) {
 		results <- result{op, op.Err, op.worker < 0}
 	}})
 
@@ -220,14 +220,8 @@ func TestPumpServesThroughBatchPanic(t *testing.T) {
 		} else {
 			op = &OpRecord{DS: good, Val: 1}
 		}
-		for {
-			err := p.Submit(op)
-			if err == nil {
-				break
-			}
-			if err != ErrPumpSaturated {
-				t.Fatalf("Submit: %v", err)
-			}
+		if err := p.Submit(op); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
 	}
 	serveDone := make(chan struct{})

@@ -41,9 +41,10 @@ func (d *floodDS) RunBatch(_ *sched.Ctx, ops []*sched.OpRecord) {
 }
 
 // flood is one pump under load: submitters goroutines each push their
-// share of recs through SubmitAll in bursts, spinning on saturation, so
-// the ingress queue holds a standing backlog for the whole run. OnDone
-// counts deliveries per record.
+// share of recs through SubmitAll in bursts, holding the ops accepted
+// but not yet served near floodWindow between them, as a caller bounds
+// what it submits. The ingress queue holds a standing backlog for the
+// whole run. OnDone counts deliveries per record.
 type flood struct {
 	rt   *sched.Runtime
 	p    *sched.Pump
@@ -67,8 +68,7 @@ func startFlood(t *testing.T, workers, ops int) *flood {
 	}
 	f.rt.SetConformance(f.m)
 	f.p = sched.NewPump(f.rt, sched.PumpConfig{
-		QueueCap: 256,
-		OnDone:   func(op *sched.OpRecord) { f.hits[op.Key].Add(1) },
+		OnDone: func(op *sched.OpRecord) { f.hits[op.Key].Add(1) },
 	})
 	for i := range f.recs {
 		f.recs[i] = sched.OpRecord{DS: f.ds, Key: int64(i), Val: 1}
@@ -77,12 +77,21 @@ func startFlood(t *testing.T, workers, ops int) *flood {
 	return f
 }
 
+// floodWindow bounds the flood's outstanding ops, accepted but not yet
+// served, across all its submitters (each checks it before a burst, so
+// together they may overshoot it by a burst each).
+const floodWindow = 256
+
 // submit pushes recs[lo:hi) in bursts until all are accepted or the
 // pump closes, counting what was accepted.
 func (f *flood) submit(lo, hi int) error {
 	const burst = 64
 	ptrs := make([]*sched.OpRecord, 0, burst)
 	for lo < hi {
+		if f.accepted.Load()-f.p.Served() > floodWindow-burst {
+			runtime.Gosched()
+			continue
+		}
 		ptrs = ptrs[:0]
 		for i := lo; i < hi && len(ptrs) < burst; i++ {
 			ptrs = append(ptrs, &f.recs[i])
@@ -92,8 +101,6 @@ func (f *flood) submit(lo, hi int) error {
 		f.accepted.Add(int64(n))
 		switch {
 		case err == nil:
-		case errors.Is(err, sched.ErrPumpSaturated):
-			runtime.Gosched()
 		case errors.Is(err, sched.ErrPumpClosed):
 			return nil
 		default:
@@ -234,7 +241,7 @@ func TestPumpCloseDuringFlood(t *testing.T) {
 func TestPumpPreloadedBacklogLaunchesImmediately(t *testing.T) {
 	const ops, workers = 256, 4
 	rt := sched.New(sched.Config{Workers: workers, Seed: 705})
-	p := sched.NewPump(rt, sched.PumpConfig{QueueCap: ops})
+	p := sched.NewPump(rt, sched.PumpConfig{})
 	ds := &floodDS{p: workers}
 	recs := make([]sched.OpRecord, ops)
 	for i := range recs {

@@ -6,7 +6,7 @@ package sched
 // auxiliary threads) cannot call Batchify directly — Batchify traps the
 // *scheduler worker* that executes it, and a network reader is not a
 // worker. A Pump closes the gap: submitters enqueue operation records
-// into a bounded queue, and the runtime runs P long-lived "pump" core
+// into a FIFO queue, and the runtime runs P long-lived "pump" core
 // tasks, one resident on each worker, that poll the queue and Batchify
 // each record. Concurrent network requests are thereby coalesced into
 // batches by exactly the machinery of Section 4 — the pending array,
@@ -17,14 +17,12 @@ package sched
 // Invariant 2 holds by construction: k <= P workers are trapped and the
 // top-up claims at most P - k.
 //
-// Backpressure falls out of the same structure. The pending array
-// admits at most P in-flight operations; the Pump's bounded queue is
-// the ingress buffer in front of it, and Submit fails fast with
-// ErrPumpSaturated when the buffer is full, so callers can shed load or
-// retry instead of queueing unboundedly. A caller that already bounds
-// what it can submit may lift the cap: batcherd's shards run with
-// QueueCap = math.MaxInt, because each connection's window bounds the
-// edge.
+// The pump refuses nothing while it serves. In the paper the only bound
+// on waiting work is the pending array, at most P records, and nothing
+// in front of it turns an operation away; here each caller bounds what
+// it submits (batcherd's connection windows, Server's slots), so the
+// queue holds at most what the callers have outstanding. Only Close
+// ends admission.
 
 import (
 	"errors"
@@ -34,22 +32,12 @@ import (
 	"batcher/internal/obs"
 )
 
-// Pump submission errors.
-var (
-	// ErrPumpClosed is returned by Submit after Close: the pump is
-	// draining and accepts no new operations.
-	ErrPumpClosed = errors.New("sched: Submit on closed Pump")
-	// ErrPumpSaturated is returned by Submit when the ingress queue is
-	// at capacity. The operation was not enqueued; callers should shed
-	// load or retry after completions free space.
-	ErrPumpSaturated = errors.New("sched: Pump ingress queue saturated")
-)
+// ErrPumpClosed is returned by Submit after Close: the pump is
+// draining and accepts no new operations.
+var ErrPumpClosed = errors.New("sched: Submit on closed Pump")
 
 // PumpConfig configures a Pump.
 type PumpConfig struct {
-	// QueueCap bounds the number of submitted-but-unclaimed operations;
-	// Submit returns ErrPumpSaturated beyond it. Defaults to 8×P.
-	QueueCap int
 	// OnDone, if non-nil, is invoked on a scheduler worker immediately
 	// after an operation's batch completes, with the record's result
 	// fields filled in. It must be fast and must never block (a blocked
@@ -84,9 +72,6 @@ type Pump struct {
 // NewPump creates a pump over rt. The runtime must not be running a
 // plain Run while the pump serves (Serve occupies it).
 func NewPump(rt *Runtime, cfg PumpConfig) *Pump {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 8 * len(rt.workers)
-	}
 	return &Pump{rt: rt, cfg: cfg}
 }
 
@@ -95,25 +80,21 @@ func (p *Pump) Runtime() *Runtime { return p.rt }
 
 // Submit enqueues op for implicit batching and returns immediately; the
 // result arrives via PumpConfig.OnDone. It is SubmitAll of one record:
-// it never blocks, and when the pump is saturated or closed it returns
-// the error and the record is untouched. Safe for concurrent use from
-// any goroutine. The record must not be reused until OnDone delivers
-// it.
+// it never blocks, and after Close it returns ErrPumpClosed and the
+// record is untouched. Safe for concurrent use from any goroutine. The
+// record must not be reused until OnDone delivers it.
 func (p *Pump) Submit(op *OpRecord) error {
 	ops := [1]*OpRecord{op}
 	_, err := p.SubmitAll(ops[:])
 	return err
 }
 
-// SubmitAll enqueues as many of ops as the ingress queue has room for,
-// under one mutex acquisition and with at most one waker call — the
-// bulk analogue of Submit for callers (batcherd's reactor loops) that
-// decode several operations from one socket read. It returns the count
-// admitted, which is a prefix of ops: the first n records are queued
-// and must not be reused until OnDone delivers them; ops[n:] are
-// untouched and remain the caller's to retry or reject. err is nil when
-// every record was admitted, ErrPumpSaturated when the queue filled
-// first, and ErrPumpClosed (with n == 0) after Close.
+// SubmitAll enqueues every record of ops under one mutex acquisition and
+// with at most one waker call — the bulk analogue of Submit for callers
+// (batcherd's reactor loops) that decode several operations from one
+// socket read. It admits all of ops or none: it returns (len(ops), nil),
+// and the records must not be reused until OnDone delivers them, or
+// (0, ErrPumpClosed) after Close, with every record untouched.
 func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -131,9 +112,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		}
 		return 0, ErrPumpClosed
 	}
-	free := p.cfg.QueueCap - (len(p.q) - p.head)
-	n = min(len(ops), free)
-	if len(p.q)+n > cap(p.q) && p.head >= len(p.q)/2 {
+	if len(p.q)+len(ops) > cap(p.q) && p.head >= len(p.q)/2 {
 		// Slide the live records to the front instead of growing: pop
 		// rewinds only when the queue empties, so under a standing
 		// backlog the array would otherwise grow by every record it
@@ -144,7 +123,7 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 		p.q = p.q[:live]
 		p.head = 0
 	}
-	for _, op := range ops[:n] {
+	for _, op := range ops {
 		if p.rt.conform != nil {
 			// PhaseAdmit: the op enters the ingress queue. Stamped inside
 			// the critical section so the pump task that claims the record
@@ -159,22 +138,14 @@ func (p *Pump) SubmitAll(ops []*OpRecord) (n int, err error) {
 	p.depth.Store(int64(depth))
 	p.mu.Unlock()
 	if tr := p.rt.tracer; tr != nil {
-		for i := 0; i < n; i++ {
+		for range ops {
 			tr.Record(tr.ExternalRing(), obs.EvPumpAdmit, int64(depth), 0)
 		}
-		if n < len(ops) {
-			tr.Record(tr.ExternalRing(), obs.EvPumpReject, 1, 0)
-		}
 	}
-	if n > 0 {
-		// One wake covers the whole prefix: a parking pump re-checks the
-		// queue after beginPark, so it sees every record published above.
-		p.rt.idle.wake()
-	}
-	if n < len(ops) {
-		return n, ErrPumpSaturated
-	}
-	return n, nil
+	// One wake covers the whole span: a parking pump re-checks the queue
+	// after beginPark, so it sees every record published above.
+	p.rt.idle.wake()
+	return len(ops), nil
 }
 
 // Close stops admission and begins the drain: operations already

@@ -62,16 +62,9 @@ func TestPumpBasic(t *testing.T) {
 			ready := make(chan struct{}, 1)
 			for i := 0; i < per; i++ {
 				op := &OpRecord{DS: ds, Val: 1, Aux: ready}
-				for {
-					err := p.Submit(op)
-					if err == nil {
-						break
-					}
-					if err != ErrPumpSaturated {
-						t.Errorf("Submit: %v", err)
-						return
-					}
-					time.Sleep(10 * time.Microsecond)
+				if err := p.Submit(op); err != nil {
+					t.Errorf("Submit: %v", err)
+					return
 				}
 				<-ready
 				if !op.Ok {
@@ -109,23 +102,14 @@ func TestPumpBasic(t *testing.T) {
 	}
 }
 
-func TestPumpSaturationAndClosed(t *testing.T) {
+func TestPumpClosed(t *testing.T) {
 	rt := New(Config{Workers: 2, Seed: 3})
-	p := NewPump(rt, PumpConfig{QueueCap: 1})
+	p := NewPump(rt, PumpConfig{})
 	ds := &pumpSumDS{}
 
-	// Not serving: the first Submit fills the queue, the second must be
-	// rejected rather than blocking or growing without bound.
 	if err := p.Submit(&OpRecord{DS: ds, Val: 1}); err != nil {
-		t.Fatalf("first Submit: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	if err := p.Submit(&OpRecord{DS: ds, Val: 1}); err != ErrPumpSaturated {
-		t.Fatalf("second Submit: %v, want ErrPumpSaturated", err)
-	}
-	if d := p.Depth(); d != 1 {
-		t.Fatalf("Depth = %d, want 1", d)
-	}
-
 	p.Close()
 	if err := p.Submit(&OpRecord{DS: ds, Val: 1}); err != ErrPumpClosed {
 		t.Fatalf("Submit after Close: %v, want ErrPumpClosed", err)
@@ -138,54 +122,50 @@ func TestPumpSaturationAndClosed(t *testing.T) {
 	}
 }
 
-// TestPumpSubmitAll pins the bulk-submission contract: admission is a
-// prefix, the count is exact against queue capacity, the remainder is
-// untouched, and admitted records drain like any Submit. A closed pump
-// admits nothing.
+// TestPumpSubmitAll pins the bulk-submission contract: a span is
+// admitted whole, however deep the queue already is, and a closed pump
+// admits none of it. Serve drains exactly the admitted records.
 func TestPumpSubmitAll(t *testing.T) {
 	rt := New(Config{Workers: 2, Seed: 9})
-	p := NewPump(rt, PumpConfig{QueueCap: 3})
+	p := NewPump(rt, PumpConfig{})
 	ds := &pumpSumDS{}
 
-	ops := make([]*OpRecord, 5)
+	ops := make([]*OpRecord, 10*rt.Workers()+3)
 	for i := range ops {
 		ops[i] = &OpRecord{DS: ds, Val: 1}
 	}
-	// Not serving: capacity 3 admits exactly the first three.
-	n, err := p.SubmitAll(ops)
-	if n != 3 || err != ErrPumpSaturated {
-		t.Fatalf("SubmitAll = (%d, %v), want (3, ErrPumpSaturated)", n, err)
+	// Not serving: the whole burst is queued, past any multiple of P.
+	if n, err := p.SubmitAll(ops); n != len(ops) || err != nil {
+		t.Fatalf("SubmitAll = (%d, %v), want (%d, nil)", n, err, len(ops))
 	}
-	if d := p.Depth(); d != 3 {
-		t.Fatalf("Depth = %d, want 3", d)
-	}
-	// The rejected suffix was not enqueued: retrying it alone still
-	// finds a full queue.
-	if n, err := p.SubmitAll(ops[3:]); n != 0 || err != ErrPumpSaturated {
-		t.Fatalf("retry SubmitAll = (%d, %v), want (0, ErrPumpSaturated)", n, err)
+	if d := p.Depth(); d != len(ops) {
+		t.Fatalf("Depth = %d, want %d", d, len(ops))
 	}
 	if n, err := p.SubmitAll(nil); n != 0 || err != nil {
 		t.Fatalf("empty SubmitAll = (%d, %v), want (0, nil)", n, err)
 	}
 
 	p.Close()
-	if n, err := p.SubmitAll(ops[3:]); n != 0 || err != ErrPumpClosed {
+	late := []*OpRecord{{DS: ds, Val: 1}, {DS: ds, Val: 1}}
+	if n, err := p.SubmitAll(late); n != 0 || err != ErrPumpClosed {
 		t.Fatalf("SubmitAll after Close = (%d, %v), want (0, ErrPumpClosed)", n, err)
 	}
-
-	// Serve drains exactly the admitted prefix.
-	p.Serve()
-	if ds.total != 3 {
-		t.Fatalf("total = %d, want 3", ds.total)
+	if d := p.Depth(); d != len(ops) {
+		t.Fatalf("Depth after a refused span = %d, want %d", d, len(ops))
 	}
-	for i, op := range ops[:3] {
+
+	p.Serve()
+	if ds.total != int64(len(ops)) {
+		t.Fatalf("total = %d, want %d", ds.total, len(ops))
+	}
+	for i, op := range ops {
 		if !op.Ok {
 			t.Fatalf("admitted op %d not completed", i)
 		}
 	}
-	for i, op := range ops[3:] {
+	for i, op := range late {
 		if op.Ok {
-			t.Fatalf("rejected op %d was executed", i+3)
+			t.Fatalf("refused op %d was executed", i)
 		}
 	}
 }
@@ -196,7 +176,7 @@ func TestPumpSubmitAll(t *testing.T) {
 // million times grows its array by 8 B per record it ever held.
 func TestPumpStandingQueueStaysCompact(t *testing.T) {
 	rt := New(Config{Workers: 2, Seed: 23})
-	p := NewPump(rt, PumpConfig{QueueCap: 16})
+	p := NewPump(rt, PumpConfig{})
 	op := &OpRecord{DS: &pumpSumDS{}, Val: 1}
 	if err := p.Submit(op); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -224,7 +204,7 @@ func TestPumpSubmitZeroAllocs(t *testing.T) {
 	rt := New(Config{Workers: 2, Seed: 29})
 	rt.SetTracer(rt.NewTracer(1024))
 	rt.SetConformance(obs.NewConform(time.Hour))
-	p := NewPump(rt, PumpConfig{QueueCap: 16})
+	p := NewPump(rt, PumpConfig{})
 	op := &OpRecord{DS: &pumpSumDS{}, Val: 1}
 	got := testing.AllocsPerRun(1000, func() {
 		if err := p.Submit(op); err != nil {
@@ -265,7 +245,7 @@ func TestPumpDrainOnClose(t *testing.T) {
 	rt := New(Config{Workers: 4, Seed: 11})
 	ds := &pumpSumDS{}
 	var delivered atomic.Int64
-	p := NewPump(rt, PumpConfig{QueueCap: 128, OnDone: func(*OpRecord) {
+	p := NewPump(rt, PumpConfig{OnDone: func(*OpRecord) {
 		delivered.Add(1)
 	}})
 	const n = 64
@@ -295,7 +275,7 @@ func TestPumpBatchesUnderLoad(t *testing.T) {
 	const n = 2000
 	var completed sync.WaitGroup
 	completed.Add(n)
-	p := NewPump(rt, PumpConfig{QueueCap: n, OnDone: func(*OpRecord) {
+	p := NewPump(rt, PumpConfig{OnDone: func(*OpRecord) {
 		completed.Done()
 	}})
 	// Preload the queue so pumps never starve, then serve.
@@ -334,7 +314,7 @@ func TestPumpRidersStamped(t *testing.T) {
 	ds := &pumpSumDS{}
 	const n = 400
 	var riders, trapped atomic.Int64
-	p := NewPump(rt, PumpConfig{QueueCap: n, OnDone: func(op *OpRecord) {
+	p := NewPump(rt, PumpConfig{OnDone: func(op *OpRecord) {
 		ph := &op.Phases
 		admit, pend, launch, land := ph[obs.PhaseAdmit], ph[obs.PhasePending], ph[obs.PhaseLaunch], ph[obs.PhaseLand]
 		if admit <= 0 || admit > pend || pend > launch || launch > land {
@@ -378,7 +358,7 @@ func TestPumpTopUpZeroAllocs(t *testing.T) {
 	rt.SetConformance(obs.NewConform(time.Hour))
 	var done, riders atomic.Int64
 	const burst = 64
-	p := NewPump(rt, PumpConfig{QueueCap: burst, OnDone: func(op *OpRecord) {
+	p := NewPump(rt, PumpConfig{OnDone: func(op *OpRecord) {
 		if op.worker < 0 {
 			riders.Add(1)
 		}

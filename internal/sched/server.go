@@ -36,8 +36,8 @@ type ServerConfig struct {
 // server keeps serving.
 type Server struct {
 	pump *Pump
-	// slots bounds admitted operations to the pump's QueueCap, so Submit
-	// never finds the queue full: an Invoke beyond it blocks here.
+	// slots bounds admitted operations to 8·P: an Invoke beyond it
+	// blocks here, so the pump's queue never holds more than that.
 	slots chan struct{}
 	// waiters holds, per in-flight record, the channel its Invoke is
 	// parked on. One mutex here cost 25 % at 32 clients (every client and
@@ -68,7 +68,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	rt := New(Config{Workers: cfg.Workers, Seed: cfg.Seed})
 	s.pump = NewPump(rt, PumpConfig{OnDone: s.onDone})
-	s.slots = make(chan struct{}, s.pump.cfg.QueueCap)
+	s.slots = make(chan struct{}, 8*rt.Workers())
 	go func() {
 		s.pump.Serve()
 		close(s.done)
@@ -78,12 +78,12 @@ func NewServer(cfg ServerConfig) *Server {
 
 // Invoke performs op through implicit batching, blocking the calling
 // goroutine (without occupying a scheduler worker) until the operation
-// has executed as part of a batch. While QueueCap (8·P) operations are
-// already admitted it waits for a completion: it never drops an
-// operation. If op's batch panicked, op.Err is a *BatchPanicError on
-// return. Safe for concurrent use by any number of goroutines. Invoke on
-// a closed Server panics — including one that was still waiting for
-// admission when Close was called.
+// has executed as part of a batch. While 8·P operations are already
+// admitted it waits for a completion: it never drops an operation. If
+// op's batch panicked, op.Err is a *BatchPanicError on return. Safe for
+// concurrent use by any number of goroutines. Invoke on a closed Server
+// panics — including one that was still waiting for admission when
+// Close was called.
 func (s *Server) Invoke(op *OpRecord) {
 	if op.DS == nil {
 		panic("sched: Invoke with nil OpRecord.DS")
@@ -94,8 +94,7 @@ func (s *Server) Invoke(op *OpRecord) {
 	sh.mu.Lock()
 	sh.m[op] = done // before Submit: OnDone may run before it returns
 	sh.mu.Unlock()
-	// Holding a slot, at most QueueCap-1 others are queued, so the only
-	// refusal is a closed pump.
+	// The pump refuses only after Close.
 	if s.pump.Submit(op) != nil {
 		sh.mu.Lock()
 		delete(sh.m, op)
@@ -121,8 +120,8 @@ func (s *Server) onDone(op *OpRecord) {
 
 // Close stops admission, drains every operation an Invoke has already
 // submitted, and shuts the server down. An Invoke that has not submitted
-// by then — a late caller, or one of more than QueueCap concurrent
-// callers still waiting for admission — panics instead of hanging. Close
+// by then — a late caller, or one of more than 8·P concurrent callers
+// still waiting for admission — panics instead of hanging. Close
 // is idempotent: repeated or concurrent calls all block until the drain
 // completes and none panic.
 func (s *Server) Close() {

@@ -184,9 +184,9 @@ func TestServerMetricsAfterClose(t *testing.T) {
 	}
 }
 
-// TestServerSaturationBlocksNeverDrops floods a P=2 server (default
-// QueueCap 16) from 64 goroutines: far more concurrent Invokes than the
-// ingress queue holds, so most of them take the wait-and-retry path.
+// TestServerSaturationBlocksNeverDrops floods a P=2 server (8·P = 16
+// slots) from 64 goroutines: far more concurrent Invokes than it admits
+// at once, so most of them wait for a slot.
 // Every call must return, the counter's pre-totals must be gapless, and
 // the BOP must only ever see <= P ops, one batch at a time.
 func TestServerSaturationBlocksNeverDrops(t *testing.T) {
@@ -201,7 +201,7 @@ func TestServerSaturationBlocksNeverDrops(t *testing.T) {
 // while goroutines are still invoking. Each call must either complete
 // (its op executed exactly once) or panic with the documented message —
 // and all of them within the deadline, none parked forever. 32 callers
-// exceed QueueCap (16 at P=2), so some are still waiting for admission
+// exceed the 8·P slots (16 at P=2), so some are still waiting for admission
 // when Close lands: those are refused like late callers, as Close's doc
 // says; every op that was submitted is drained (executed == returned).
 func TestServerCloseRacesInvoke(t *testing.T) {

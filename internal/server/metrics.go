@@ -33,7 +33,10 @@ func (s *Server) buildMetrics() {
 	s.reg = reg
 
 	reg.CounterFunc("batcherd_ops_accepted_total",
-		"operations admitted into a shard pump", nil, s.accepted.Load)
+		"operations admitted into a shard pump", nil, func() int64 {
+			a, _, _ := s.router.Books()
+			return a
+		})
 	reg.CounterFunc("batcherd_ops_rejected_total",
 		"operations refused (bad op, closed pump)", nil, s.rejected.Load)
 	reg.CounterFunc("batcherd_ops_completed_total",
@@ -41,7 +44,10 @@ func (s *Server) buildMetrics() {
 	reg.CounterFunc("batcherd_ops_immediate_total",
 		"responses that bypassed the pumps (stats, rejections)", nil, s.immediate.Load)
 	reg.CounterFunc("batcherd_ops_failed_total",
-		"accepted operations completed with Err (contained batch panic)", nil, s.failed.Load)
+		"accepted operations completed with Err (contained batch panic)", nil, func() int64 {
+			_, _, f := s.router.Books()
+			return f
+		})
 	reg.CounterFunc("batcherd_decode_errors_total",
 		"connections dropped for malformed frames", nil, s.decodeErr.Load)
 	reg.CounterFunc("batcherd_evictions_total",

@@ -420,23 +420,21 @@ func (s *Server) submitSpans(c *conn, reqs []*request, sc *edgeScratch) {
 	sc.touched = touched[:0]
 }
 
-// submitSpan submits one shard's span in bulk. The shard pumps are
-// uncapped, so SubmitAll admits the whole span unless the pump is
-// closed; whatever it did not admit is answered with FlagErr. The span
-// counts as accepted before SubmitAll, since an admitted op can
-// complete before SubmitAll returns; a refused suffix is taken back, so
+// submitSpan submits one shard's span in bulk. SubmitAll admits the
+// whole span, or none of it once the pump is closed, and a refused span
+// is answered with FlagErr. (Shutdown closes the router only after
+// every conn has finished, so no span meets a closed pump today.) The
+// shard's books count the span as accepted before the pump sees it, so
 // completed never runs ahead of accepted + immediate.
 func (s *Server) submitSpan(c *conn, shardID int, span []*request, sc *edgeScratch) {
 	sc.recs = sc.recs[:0]
 	for _, rq := range span {
 		sc.recs = append(sc.recs, &rq.op)
 	}
-	s.accepted.Add(int64(len(span)))
-	n, _ := s.router.Shard(shardID).SubmitAll(sc.recs)
-	if n < len(span) {
-		s.accepted.Add(int64(n - len(span)))
+	if _, err := s.router.Shard(shardID).SubmitAll(sc.recs); err == nil {
+		return
 	}
-	for _, rq := range span[n:] {
+	for _, rq := range span {
 		s.rejected.Add(1)
 		s.immediate.Add(1)
 		s.edge[rq.shard].rejected.Add(1)

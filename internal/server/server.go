@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -128,11 +127,9 @@ type Server struct {
 	edge []edgeCounters
 
 	curConns  atomic.Int64
-	accepted  atomic.Int64 // operations admitted into a shard pump (all shards)
 	rejected  atomic.Int64 // operations refused (bad op, closed pump)
 	completed atomic.Int64 // responses retired by the writer loops
 	immediate atomic.Int64 // responses that bypassed the pumps (stats, rejections)
-	failed    atomic.Int64 // accepted operations completed with Err (contained batch panic)
 	decodeErr atomic.Int64 // connections dropped for malformed frames
 	readSys   atomic.Int64 // socket read syscalls (reader loops)
 	writeSys  atomic.Int64 // socket write syscalls (writer loops)
@@ -239,10 +236,6 @@ func Start(cfg Config) (*Server, error) {
 		Shards:  cfg.Shards,
 		Workers: cfg.Workers,
 		Seed:    cfg.Seed,
-		// No queue cap: each connection's window already bounds what
-		// the edge can have decoded, so every op waits in the pump FIFO
-		// that the pump tasks and the launch-time top-up drain.
-		QueueCap: math.MaxInt,
 		NewDS: func(i int) []sched.Batched {
 			// Each shard gets its own structure instances, seeded
 			// distinctly (a shard is an independent batching domain, not
@@ -457,7 +450,6 @@ func (s *Server) complete(shardID int, op *sched.OpRecord) {
 	rq := op.Aux.(*request)
 	if op.Err != nil {
 		rq.flags = FlagErr
-		s.failed.Add(1)
 	}
 	s.latHist[rq.dsIdx].Observe(int64(time.Since(rq.start)))
 

@@ -145,16 +145,18 @@ type ShardStats struct {
 func (s *Server) Snapshot() Stats {
 	up := time.Since(s.start).Seconds()
 	batches, ops := s.router.LiveBatchStats()
+	// The shard books are the one ledger of accepted and failed ops.
+	accepted, _, failed := s.router.Books()
 	st := Stats{
 		Workers:       s.Runtime().Workers(),
 		Shards:        s.router.N(),
 		UptimeSec:     up,
 		Conns:         s.curConns.Load(),
-		Accepted:      s.accepted.Load(),
+		Accepted:      accepted,
 		Rejected:      s.rejected.Load(),
 		Completed:     s.completed.Load(),
 		Immediate:     s.immediate.Load(),
-		Failed:        s.failed.Load(),
+		Failed:        failed,
 		DecodeErrors:  s.decodeErr.Load(),
 		Evictions:     s.evictions.Load(),
 		ReadSyscalls:  s.readSys.Load(),

@@ -79,10 +79,6 @@ type Config struct {
 	// Seed seeds each shard's runtime RNGs; shard i derives seed+i so
 	// shards do not take correlated steal decisions.
 	Seed uint64
-	// QueueCap bounds each shard's pump ingress queue (per shard, not
-	// global). Zero means the pump's default, 8×P; batcherd passes
-	// math.MaxInt, since its connection windows bound the edge.
-	QueueCap int
 	// NewDS builds shard i's structure set, indexed by the wire ds
 	// code. The router itself never interprets the structures — it only
 	// stores and serves them — so the serving layer keeps sole
@@ -131,16 +127,16 @@ func (sh *Shard) DS(i int) sched.Batched {
 }
 
 // SubmitAll bulk-submits ops into the shard's pump (one lock, one
-// wake — see sched.Pump.SubmitAll) and counts the admitted prefix into
-// the shard's books. Contract is the pump's: the first n are admitted,
-// the rest remain the caller's to retry or reject. The ops count as
-// accepted before the pump sees them, since an admitted op can complete
-// before SubmitAll returns; a refused suffix is taken back.
+// wake — see sched.Pump.SubmitAll) and counts them into the shard's
+// books. Contract is the pump's: all of ops are admitted, or none after
+// Close. The ops count as accepted before the pump sees them, since an
+// admitted op can complete before SubmitAll returns; a refused span is
+// taken back whole.
 func (sh *Shard) SubmitAll(ops []*sched.OpRecord) (n int, err error) {
 	sh.accepted.Add(int64(len(ops)))
 	n, err = sh.pump.SubmitAll(ops)
-	if n < len(ops) {
-		sh.accepted.Add(int64(n - len(ops)))
+	if err != nil {
+		sh.accepted.Add(-int64(len(ops)))
 	}
 	return n, err
 }
@@ -177,7 +173,6 @@ func NewRouter(cfg Config) *Router {
 		}
 		done := cfg.OnDone
 		sh.pump = sched.NewPump(sh.rt, sched.PumpConfig{
-			QueueCap: cfg.QueueCap,
 			OnDone: func(op *sched.OpRecord) {
 				// Books first: a test that saw op's response must also
 				// see it counted (OnDone callbacks observe the ledger
@@ -255,6 +250,17 @@ func (r *Router) LiveBatchStats() (batches, ops int64) {
 		ops += o
 	}
 	return batches, ops
+}
+
+// Books sums the shards' admission ledgers (see Shard.Books).
+func (r *Router) Books() (accepted, completed, failed int64) {
+	for _, sh := range r.shards {
+		a, c, f := sh.Books()
+		accepted += a
+		completed += c
+		failed += f
+	}
+	return accepted, completed, failed
 }
 
 // BatchPanics sums contained batch panics across shards.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -129,27 +128,14 @@ func TestRouterServesAndDrainsPerShardBooks(t *testing.T) {
 		wg.Add(1)
 		go func(sh *Shard) {
 			defer wg.Done()
-			ds := sh.DS(0).(*counterDS)
-			_ = ds
 			ops := make([]*sched.OpRecord, 0, 8)
-			submitted := 0
-			for submitted < perSh {
+			for submitted := 0; submitted < perSh; submitted += len(ops) {
 				ops = ops[:0]
-				span := 8
-				if perSh-submitted < span {
-					span = perSh - submitted
-				}
-				for j := 0; j < span; j++ {
+				for j := 0; j < min(8, perSh-submitted); j++ {
 					ops = append(ops, &sched.OpRecord{Kind: 0, DS: sh.DS(0)})
 				}
-				n, err := sh.SubmitAll(ops)
-				submitted += n
-				if err == sched.ErrPumpSaturated {
-					runtime.Gosched() // backpressure: resubmit the refused suffix
-					continue
-				}
-				if err != nil {
-					t.Errorf("shard %d SubmitAll: %v", sh.ID(), err)
+				if n, err := sh.SubmitAll(ops); n != len(ops) || err != nil {
+					t.Errorf("shard %d SubmitAll = (%d, %v), want (%d, nil)", sh.ID(), n, err, len(ops))
 					return
 				}
 			}
@@ -160,7 +146,6 @@ func TestRouterServesAndDrainsPerShardBooks(t *testing.T) {
 	r.Close() // idempotent
 	served.Wait()
 
-	var totA, totC int64
 	for i := 0; i < shards; i++ {
 		a, c, f := r.Shard(i).Books()
 		if a != perSh || c != perSh || f != 0 {
@@ -169,11 +154,18 @@ func TestRouterServesAndDrainsPerShardBooks(t *testing.T) {
 		if ctrs[i].total != perSh {
 			t.Fatalf("shard %d counter total %d, want %d (counters must be independent)", i, ctrs[i].total, perSh)
 		}
-		totA += a
-		totC += c
 	}
-	if totA != shards*perSh || totC != shards*perSh {
-		t.Fatalf("aggregate books %d/%d, want %d", totA, totC, shards*perSh)
+	if a, c, _ := r.Books(); a != shards*perSh || c != shards*perSh {
+		t.Fatalf("aggregate books %d/%d, want %d", a, c, shards*perSh)
+	}
+	// A span refused after Close is taken back whole: the books do not
+	// count it.
+	late := []*sched.OpRecord{{DS: r.Shard(0).DS(0)}, {DS: r.Shard(0).DS(0)}}
+	if n, err := r.Shard(0).SubmitAll(late); n != 0 || err != sched.ErrPumpClosed {
+		t.Fatalf("SubmitAll after Close = (%d, %v), want (0, ErrPumpClosed)", n, err)
+	}
+	if a, _, _ := r.Shard(0).Books(); a != perSh {
+		t.Fatalf("shard 0 accepted = %d after a refused span, want %d", a, perSh)
 	}
 	if b, o := r.LiveBatchStats(); o != shards*perSh || b < shards {
 		t.Fatalf("LiveBatchStats = (%d batches, %d ops), want ops=%d and >=%d batches", b, o, shards*perSh, shards)
